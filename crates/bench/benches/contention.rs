@@ -15,11 +15,11 @@
 //!   4096-state bound (its verdict degrades to bounded), so `accepted` is
 //!   only asserted for the POR runs.
 //!
-//! `rename_storm` deliberately carries unbounded footprints (rename is
-//! treated conservatively), so its POR and no-POR times coincide: it
-//! measures the exact-dedup safety net alone. Since POR cannot reduce it,
-//! it exceeds the state bound at six processes in either mode and is only
-//! benched at the four-process scale.
+//! Every family reduces, `rename_storm` included: each process renames its
+//! own file, and `rename`'s footprint names the two entries it rewrites, so
+//! the six-process POR rows cover all four families. The `por` rows are
+//! gated in CI's perf trend, so a footprint change that stops a family
+//! reducing shows up as a regression.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -40,12 +40,8 @@ fn contention(c: &mut Criterion) {
     let mut group = c.benchmark_group("check_contention");
     group.sample_size(10);
 
-    // Six-way contention: feasible only with reduction on, and only for the
-    // commuting families (rename's footprint is unbounded, see above).
-    for trace in contention_traces(ContentionOptions::new(6, 2))
-        .iter()
-        .filter(|t| !t.name.contains("rename_storm"))
-    {
+    // Six-way contention: feasible only with reduction on.
+    for trace in &contention_traces(ContentionOptions::new(6, 2)) {
         group.bench_with_input(
             BenchmarkId::new(family_of(&trace.name), "por"),
             trace,

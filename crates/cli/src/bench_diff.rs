@@ -10,9 +10,11 @@
 //!
 //! Only the **gated** benches fail the diff: the end-to-end checker
 //! throughput (`check_throughput/…`), the τ-closure internals
-//! (`tau_closure_…`), and the oracle-server load generator
-//! (`serve_loadgen/…`). Everything else is reported but informational, so a
-//! noisy micro-bench cannot block an unrelated change.
+//! (`tau_closure_…`), the reduced contention checks
+//! (`check_contention/…/por`), the oracle-server load generator
+//! (`serve_loadgen/…`), and the execution pipeline (`exec_pipeline/…`).
+//! Everything else is reported but informational, so a noisy micro-bench
+//! cannot block an unrelated change.
 //!
 //! Records whose `mode` is not `"timed"` (smoke runs) carry meaningless
 //! timings and are ignored. When a file holds several appended runs of the
@@ -190,10 +192,14 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     Ok(records)
 }
 
-/// Whether a bench participates in the regression gate.
+/// Whether a bench participates in the regression gate. Of the contention
+/// checks only the reduced (`…/por`) rows are gated: a family that stops
+/// reducing slows down by orders of magnitude there, while the `no_por`
+/// rows only record the unreduced contrast.
 pub fn is_gated(name: &str) -> bool {
     name.starts_with("check_throughput")
         || name.starts_with("tau_closure_")
+        || (name.starts_with("check_contention/") && name.ends_with("/por"))
         || name.starts_with("serve_loadgen/")
         || name.starts_with("exec_pipeline/")
 }
@@ -378,6 +384,13 @@ mod tests {
         let rendered = render_diff(&report);
         assert!(rendered.contains("gate: FAILED"));
         assert!(rendered.contains("resolve_preparsed"));
+    }
+
+    #[test]
+    fn reduced_contention_rows_are_gated_unreduced_are_not() {
+        assert!(is_gated("check_contention/rename_storm_p6/por"));
+        assert!(is_gated("check_contention/drbh_p4/por"));
+        assert!(!is_gated("check_contention/drbh_p4/no_por"));
     }
 
     #[test]

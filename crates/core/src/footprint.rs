@@ -116,9 +116,9 @@ impl Res {
 pub struct Footprint {
     res: Vec<Res>,
     /// Conservative fallback: the command's effects could not be bounded
-    /// (`rename`'s atomic two-path dance, flavour-dependent `link`-through-
-    /// symlink, the administrative group-table write). A `may_conflict`
-    /// footprint commutes with nothing.
+    /// (flavour-dependent `link`-through-symlink, the administrative
+    /// group-table write, any call under the timestamps trait). A
+    /// `may_conflict` footprint commutes with nothing.
     may_conflict: bool,
 }
 
@@ -219,6 +219,58 @@ impl<'a> FpCtx<'a> {
         fp.push(Res::EntryWrite(parent, name));
         fp.push(Res::DirMetaRead(parent));
         self.conn_chain(fp, parent);
+    }
+
+    /// Footprint of `rename` beyond its two path resolutions, following
+    /// `fs_ops::rename`'s dispatch on the resolved shapes.
+    ///
+    /// Only the four shapes that can succeed (file to a new name, file over
+    /// another file, directory to a new name, directory over a directory)
+    /// read or write anything more. For them every check and write is
+    /// recorded whether or not the checks pass in this state, so a
+    /// concurrent write that would flip a failing check still conflicts.
+    /// Same-object no-ops and the error-only shapes depend on nothing but
+    /// the resolutions already recorded. (The root is never found through a
+    /// parent entry, so `parent: Some(..)` also rules out renaming it.)
+    fn rename(&self, fp: &mut Footprint, src: &ResName, dst: &ResName) {
+        let (sp, sn, moved) = match *src {
+            ResName::File { parent, name, fref, .. } => (parent, name, Res::FileWrite(fref)),
+            // A move rewrites the directory's parent pointer. Only `..`
+            // traversal out of it and `ConnRead` walks through it read that
+            // pointer, and both record the directory itself, so a
+            // `DirMetaWrite` on it covers every reader.
+            ResName::Dir { dref, parent: Some((p, n)), .. } => (p, n, Res::DirMetaWrite(dref)),
+            _ => return,
+        };
+        let (dp, dn) = match (src, dst) {
+            (ResName::File { fref: sf, .. }, ResName::File { parent, name, fref, .. })
+                if fref != sf =>
+            {
+                fp.push(Res::FileWrite(*fref)); // the replaced file loses a link
+                (*parent, *name)
+            }
+            (ResName::Dir { dref: sd, .. }, ResName::Dir { dref, parent: Some((p, n)), .. })
+                if dref != sd =>
+            {
+                // The replaced directory: emptiness check and destruction.
+                // The ancestry walk starts here, but the write already
+                // conflicts with everything a `ConnRead` of it would; the
+                // walk goes on through `dp`'s chain below.
+                fp.push(Res::ListingRead(*dref));
+                fp.push(Res::DirMetaWrite(*dref));
+                (*p, *n)
+            }
+            (_, ResName::None { parent, name, .. }) => (*parent, *name),
+            _ => return,
+        };
+        fp.push(moved);
+        for (d, n) in [(sp, sn), (dp, dn)] {
+            fp.push(Res::EntryWrite(d, n));
+            fp.push(Res::DirMetaRead(d)); // parent write-permission check
+        }
+        // `is_connected(dp)` and the `is_same_or_ancestor` walk from the
+        // destination both climb `dp`'s parent chain.
+        self.conn_chain(fp, dp);
     }
 
     fn fd_file(&self, pid: Pid, fd: Fd) -> Option<FileRef> {
@@ -398,11 +450,10 @@ pub fn footprint_of(cfg: &SpecConfig, st: &OsState, pid: Pid, cmd: &OsCommand) -
         OsCommand::Close(_) | OsCommand::Closedir(_) | OsCommand::Umask(_) => {
             // Purely per-process state.
         }
-        OsCommand::Rename(_, _) => {
-            // Atomic two-path read-modify-write with flavour-dependent
-            // overwrite semantics and subtree moves (which rewrite parent
-            // pointers arbitrarily deep): conservatively unbounded.
-            return Footprint::unbounded();
+        OsCommand::Rename(src, dst) => {
+            let src = ctx.resolve(&mut fp, src, FollowLast::NoFollow);
+            let dst = ctx.resolve(&mut fp, dst, FollowLast::NoFollow);
+            ctx.rename(&mut fp, &src, &dst);
         }
         OsCommand::AddUserToGroup(_, _) => {
             // Writes the global group table, which every permission check

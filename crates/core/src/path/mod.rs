@@ -478,8 +478,9 @@ impl<'a> ResolveCtx<'a> {
 /// of a command's path arguments for partial-order reduction: a concurrent
 /// write that touches none of these resources cannot change the outcome of
 /// this resolution. Symlink expansion is covered by the edge read of the
-/// symlink itself — symlink *content* is immutable in the model (only
-/// `rename`, which is treated conservatively, can move one).
+/// symlink itself — symlink *content* is immutable in the model, and a
+/// `rename` that moves a symlink (changing what a relative target resolves
+/// against) writes the very entries those edge reads record.
 #[derive(Debug, Default, Clone)]
 pub struct PathObs {
     /// Every directory whose metadata (search permission) or parent pointer

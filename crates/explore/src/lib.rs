@@ -446,22 +446,14 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
     let start = Instant::now();
 
     std::thread::scope(|scope| {
-        for w in 0..opts.workers {
+        // The progress line refreshes every 500 ms; the last worker to exit
+        // wakes the thread early, so the scope joins as soon as the work is
+        // done rather than at the next refresh.
+        let progress = opts.progress.then(|| {
             let shared = &shared;
-            let mutator = &mutator;
-            let cfg = &cfg;
-            let opts_ref = opts;
-            let ctx = &ctx;
-            scope.spawn(move || {
-                worker_loop(w, opts_ref, ctx, cfg, mutator, shared, start, budget);
-                shared.active_workers.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        if opts.progress {
-            let shared = &shared;
-            scope.spawn(move || {
+            let handle = scope.spawn(move || {
                 while shared.active_workers.load(Ordering::SeqCst) > 0 {
-                    std::thread::sleep(Duration::from_millis(500));
+                    std::thread::park_timeout(Duration::from_millis(500));
                     let pct = shared.global.lock().branch_summary().percent();
                     eprint!(
                         "\rexplore: {} iters, corpus {}, coverage {:.1}% branches, {} novel, {} divergences, {} lint-rejected   ",
@@ -474,6 +466,23 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
                     );
                 }
                 eprintln!();
+            });
+            handle.thread().clone()
+        });
+        for w in 0..opts.workers {
+            let shared = &shared;
+            let mutator = &mutator;
+            let cfg = &cfg;
+            let opts_ref = opts;
+            let ctx = &ctx;
+            let progress = progress.clone();
+            scope.spawn(move || {
+                worker_loop(w, opts_ref, ctx, cfg, mutator, shared, start, budget);
+                if shared.active_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    if let Some(t) = progress {
+                        t.unpark();
+                    }
+                }
             });
         }
     });
@@ -851,6 +860,24 @@ mod tests {
         let md = outcome.render_markdown();
         assert!(md.contains("# Exploration report"));
         assert!(md.contains("novel key(s)"));
+    }
+
+    #[test]
+    fn the_progress_line_does_not_delay_the_end_of_a_run() {
+        // A 100 ms budget with the 500 ms progress refresh on: the run ends
+        // when its worker does, not at the progress thread's next wake-up.
+        let opts = ExploreOptions {
+            time_budget: Some(Duration::from_millis(100)),
+            workers: 1,
+            progress: true,
+            ..ExploreOptions::default()
+        };
+        let outcome = explore(&opts).unwrap();
+        assert!(
+            outcome.elapsed_secs < 0.45,
+            "a 0.1 s run took {:.3} s to join",
+            outcome.elapsed_secs
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! - **create/unlink storm** — every process repeatedly creates and unlinks
 //!   its own entry in one shared directory.
 //! - **rename storm** — every process flips its own file between two names
-//!   in one shared directory (`rename` defeats commutativity analysis by
-//!   design, so this family exercises the exact-dedup safety net).
+//!   in one shared directory. Each rename writes only its own two entries,
+//!   so the renames commute and the family reduces like the others.
 //!
 //! Each family scales along `processes × ops_per_process`.
 //!
@@ -205,8 +205,8 @@ pub fn create_unlink_storm_script(opts: ContentionOptions) -> Script {
 }
 
 /// Same-directory rename storm: every process flips its own file between two
-/// names. `rename` is treated as non-commuting by the footprint analysis, so
-/// this family runs with POR effectively disabled.
+/// names. No two renames touch the same entry or file, so under POR a round
+/// of `n` renames tracks `2ⁿ` states rather than every interleaving.
 pub fn rename_storm_script(opts: ContentionOptions) -> Script {
     let mut s = new_script("rename_storm", opts);
     s.call(OsCommand::Mkdir(SHARED.into(), FileMode::new(0o777)));
