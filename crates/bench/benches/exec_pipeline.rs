@@ -1,13 +1,14 @@
-//! Benchmark: pipelined execution engine vs the sequential baselines.
+//! Benchmark: pooled execution vs the sequential baselines.
 //!
 //! Two families of rows, both reported as scripts/sec over the bench suite:
 //!
 //! * `sim/*` — the in-process `SimExecutor`. `sim/sequential` is the plain
 //!   `execute_suite_on` loop; `sim/pipelined/{1,2,4,8}` drive the same suite
-//!   through `ExecPipeline` at each worker count. Sim execution is pure
-//!   compute, so the pipelined rows only pull ahead of sequential when the
-//!   machine has more than one core — on a single-core runner they measure
-//!   the pipeline's handoff overhead instead (it should be small).
+//!   through `execute_suite_pipelined` (a `sibylfs_core::pool::map`) at each
+//!   worker count. Sim execution is pure compute, so the pooled rows only
+//!   pull ahead of sequential when the machine has more than one core — on a
+//!   single-core runner they measure the pool's thread start-up instead (it
+//!   should be small).
 //! * `host/*` — the chroot-jailed real-kernel backend (skipped with a note
 //!   when the sandbox is unavailable; run as root). `host/cold_fork` is the
 //!   pre-pool baseline: one fork + chroot + sandbox build/teardown per

@@ -18,7 +18,6 @@
 
 pub mod checker;
 pub mod parallel;
-pub mod pool;
 pub mod render;
 
 pub use checker::{
@@ -27,7 +26,6 @@ pub use checker::{
     StepKind, StepVerdict,
 };
 pub use parallel::{check_traces_parallel, SuiteCheckStats};
-pub use pool::CheckerPool;
 pub use render::{
     render_checked_trace, render_diagnostic_block, render_parse_error, DiagnosticBlock,
 };

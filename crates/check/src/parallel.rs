@@ -4,12 +4,12 @@
 //! across worker threads for linear speedup — the property the paper exploits
 //! to check 20 000 traces in about a minute on a four-core machine (§3, §7.1).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use sibylfs_core::flavor::SpecConfig;
+use sibylfs_core::pool;
 use sibylfs_script::Trace;
 
 use crate::checker::{check_trace, CheckOptions, CheckedTrace};
@@ -34,8 +34,8 @@ pub struct SuiteCheckStats {
 
 impl SuiteCheckStats {
     /// Aggregate a result set checked over `elapsed` wall-clock time. Public
-    /// so pipelined callers (which drive a [`CheckerPool`](crate::CheckerPool)
-    /// themselves) can report the same statistics.
+    /// so callers that check as part of a larger job (executing and checking
+    /// each script on one worker) can report the same statistics.
     pub fn from_results(
         results: &[CheckedTrace],
         elapsed: Duration,
@@ -57,6 +57,8 @@ impl SuiteCheckStats {
 }
 
 /// Check a set of traces using `workers` threads, preserving input order.
+/// Workers take the next unchecked trace as they come free, so a few long
+/// traces amid thousands of short ones never leave a worker idle.
 pub fn check_traces_parallel(
     cfg: &SpecConfig,
     traces: &[Trace],
@@ -65,52 +67,7 @@ pub fn check_traces_parallel(
 ) -> (Vec<CheckedTrace>, SuiteCheckStats) {
     let workers = workers.max(1);
     let start = Instant::now();
-    let results: Vec<CheckedTrace> = if workers == 1 || traces.len() < 2 {
-        traces.iter().map(|t| check_trace(cfg, t, opts)).collect()
-    } else {
-        // Workers claim traces one at a time from a shared atomic index
-        // (work stealing), so skewed trace lengths — a few long traces amid
-        // thousands of short ones — never leave workers idle the way a static
-        // partition would.
-        let next_idx = AtomicUsize::new(0);
-        let mut slots: Vec<Option<CheckedTrace>> = vec![None; traces.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..workers {
-                let cfg = *cfg;
-                let traces = &traces;
-                let next_idx = &next_idx;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next_idx.fetch_add(1, Ordering::Relaxed);
-                        if idx >= traces.len() {
-                            break;
-                        }
-                        out.push((idx, check_trace(&cfg, &traces[idx], opts)));
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                // Propagate a worker panic with its original payload instead
-                // of wrapping it in a second panic here.
-                let batch = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (idx, checked) in batch {
-                    slots[idx] = Some(checked);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| match s {
-                Some(checked) => checked,
-                // Each index is claimed by exactly one worker via the shared
-                // counter and written before the worker exits.
-                None => unreachable!("every slot filled"),
-            })
-            .collect()
-    };
+    let results = pool::map(workers, traces, |t| check_trace(cfg, t, opts));
     let stats = SuiteCheckStats::from_results(&results, start.elapsed(), workers);
     (results, stats)
 }

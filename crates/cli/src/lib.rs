@@ -3,14 +3,13 @@
 
 pub mod bench_diff;
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use sibylfs_check::{CheckOptions, CheckedTrace, CheckerPool, SuiteCheckStats};
+use sibylfs_check::{check_trace, CheckOptions, CheckedTrace, SuiteCheckStats};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
-use sibylfs_exec::{
-    ExecError, ExecOptions, ExecPipeline, ExecStats, Executor, SimExecutor, HOST_CONFIG_NAME,
-};
+use sibylfs_core::pool;
+use sibylfs_exec::{ExecError, ExecOptions, Executor, SimExecutor, HOST_CONFIG_NAME};
 use sibylfs_fsimpl::{configs, BehaviorProfile};
 use sibylfs_report::{summarize_run_for_backend, RunSummary};
 use sibylfs_script::Script;
@@ -42,11 +41,8 @@ pub struct ConfigRun {
     pub profile: BehaviorProfile,
     /// The flavour it was checked against.
     pub flavor: Flavor,
-    /// Execution statistics.
-    pub exec_stats: ExecStats,
-    /// Wall-clock execution time in seconds.
-    pub exec_secs: f64,
-    /// Checking statistics.
+    /// Checking statistics; execution and checking share the workers, so
+    /// the wall time covers both.
     pub check_stats: SuiteCheckStats,
     /// The per-trace results.
     pub checked: Vec<CheckedTrace>,
@@ -54,7 +50,7 @@ pub struct ConfigRun {
     pub summary: RunSummary,
 }
 
-/// A shareable executor, as the execution pipeline's worker threads need it.
+/// A shareable executor, as the pool's worker threads need it.
 pub type SharedExecutor = Arc<dyn Executor + Send + Sync>;
 
 /// Resolve a `--config` name to an executor plus the flavour its platform is
@@ -68,7 +64,7 @@ pub fn executor_for_config(name: &str) -> Option<(SharedExecutor, Flavor)> {
 
 /// [`executor_for_config`] with an explicit host worker-pool size
 /// (`--exec-workers`). Simulated configurations ignore the knob — the sim is
-/// a pure function, so pipeline threads share one executor freely.
+/// a pure function, so pool threads share one executor freely.
 pub fn executor_for_config_with(
     name: &str,
     exec_workers: usize,
@@ -99,11 +95,11 @@ pub fn host_profile() -> BehaviorProfile {
 /// Execute the suite on any backend and check the traces against the given
 /// flavour of the specification.
 ///
-/// Execution and checking are *pipelined*: scripts stream through an
-/// [`ExecPipeline`] of `workers` executor threads, and every trace is handed
-/// to a [`CheckerPool`] the moment it is delivered, while later scripts are
-/// still executing. Results keep suite order, and are byte-identical to the
-/// old execute-everything-then-check-everything sequence.
+/// Each of `workers` pool threads executes a script and checks its trace
+/// before taking the next script, so at most `workers` unchecked traces exist
+/// at any time. Results keep suite order and are byte-identical to executing
+/// everything, then checking everything; the error returned is the first by
+/// suite order.
 ///
 /// `ConfigRun::profile` is resolved from the executor's configuration name
 /// (registry lookup, or the host pseudo-profile); callers that already hold
@@ -115,78 +111,22 @@ pub fn run_executor(
     suite: &[Script],
     workers: usize,
 ) -> Result<ConfigRun, ExecError> {
-    run_executor_with_profile(exec, None, flavor, suite, workers)
-}
-
-fn run_executor_with_profile(
-    exec: SharedExecutor,
-    profile: Option<BehaviorProfile>,
-    flavor: Flavor,
-    suite: &[Script],
-    workers: usize,
-) -> Result<ConfigRun, ExecError> {
     let config_name = exec.config_name();
     let backend_name = exec.backend_name();
     let cfg = SpecConfig::standard(flavor);
 
     let start = Instant::now();
-    let pipeline = ExecPipeline::new(exec, workers);
-    let checkers = CheckerPool::new(workers);
-    // Checked results land here by suite index, however the two pools
-    // interleave; the counter tells the tail wait when everything arrived.
-    type Slots = (Mutex<(Vec<Option<CheckedTrace>>, usize)>, Condvar);
-    let slots: Arc<Slots> = Arc::new((Mutex::new((vec![None; suite.len()], 0)), Condvar::new()));
-
-    let mut first_err: Option<ExecError> = None;
-    let mut submitted = 0usize;
-    let mut calls = 0usize;
-    let mut exec_secs = 0.0f64;
-    pipeline.execute_ordered(suite, ExecOptions::default(), |idx, res| {
-        exec_secs = start.elapsed().as_secs_f64();
-        match res {
-            Ok(trace) if first_err.is_none() => {
-                calls += trace.call_count();
-                submitted += 1;
-                let slots = Arc::clone(&slots);
-                checkers.submit(cfg, trace, CheckOptions::default(), move |checked| {
-                    let (lock, done) = &*slots;
-                    let mut g = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    g.0[idx] = Some(checked);
-                    g.1 += 1;
-                    done.notify_all();
-                });
-            }
-            // After the first error the run's fate is sealed: drain the
-            // pipeline but stop feeding the checkers.
-            Ok(_) => {}
-            Err(e) => first_err = Some(first_err.take().unwrap_or(e)),
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let exec_stats = ExecStats { scripts: submitted, calls, trace_bytes: 0 };
-
-    let checked: Vec<CheckedTrace> = {
-        let (lock, done) = &*slots;
-        let mut g = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while g.1 < submitted {
-            g = done.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-        std::mem::take(&mut g.0)
-            .into_iter()
-            .map(|s| s.expect("every submitted trace is checked exactly once"))
-            .collect()
-    };
-    // Checking overlaps execution, so its wall clock is the whole pipeline's:
-    // start of the first script to the last verdict.
+    let checked = pool::map(workers, suite, |script| {
+        let trace = exec.execute_script(script, ExecOptions::default())?;
+        Ok(check_trace(&cfg, &trace, CheckOptions::default()))
+    })
+    .into_iter()
+    .collect::<Result<Vec<CheckedTrace>, ExecError>>()?;
     let check_stats = SuiteCheckStats::from_results(&checked, start.elapsed(), workers);
 
     let summary = summarize_run_for_backend(&config_name, flavor.name(), backend_name, &checked);
-    let profile = profile.unwrap_or_else(|| {
-        configs::by_name(&config_name).unwrap_or_else(host_profile)
-    });
-    Ok(ConfigRun { profile, flavor, exec_stats, exec_secs, check_stats, checked, summary })
+    let profile = configs::by_name(&config_name).unwrap_or_else(host_profile);
+    Ok(ConfigRun { profile, flavor, check_stats, checked, summary })
 }
 
 /// Execute the suite on a simulated configuration and check the traces
@@ -198,8 +138,8 @@ pub fn run_config(
     workers: usize,
 ) -> ConfigRun {
     let exec = Arc::new(SimExecutor::new(profile.clone()));
-    run_executor_with_profile(exec, Some(profile.clone()), flavor, suite, workers)
-        .expect("the simulation is infallible")
+    let run = run_executor(exec, flavor, suite, workers).expect("the simulation is infallible");
+    ConfigRun { profile: profile.clone(), ..run }
 }
 
 /// Execute and check a configuration against the flavour of its own platform.

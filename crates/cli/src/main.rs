@@ -22,7 +22,7 @@ const USAGE: &str = "sibylfs — oracle-based testing for POSIX and real-world f
 USAGE:
     sibylfs gen   [--full|--quick] [--out DIR]       generate the test suite
     sibylfs run   --config NAME [--full] [--out DIR] execute the suite on a configuration
-                  [--exec-workers N]                 (pipelined; execution overlaps checking)
+                  [--exec-workers N]                 and check every trace
     sibylfs check --flavor FLAVOR [--por MODE] FILE. check recorded traces against the model
     sibylfs check --remote ADDR FILE...              check traces on a remote oracle server
     sibylfs exec  --config NAME [--exec-workers N] SCRIPT...
@@ -39,14 +39,16 @@ OBSERVABILITY (check, exec, explore, serve):
     --trace-out FILE         record spans and write a Chrome trace-event JSON
                              file (open in Perfetto / chrome://tracing)
     --timings                (run, check, exec) print an `@type metrics-v1`
-                             table of the run's counters, pipeline gauges, and
+                             table of the run's counters, pool gauges, and
                              latency histograms
 
-EXECUTION PIPELINE (run, exec):
-    --exec-workers N         executor threads (default 4). On host/linux each
-                             thread drives a persistent pre-jailed worker
-                             process whose jail is reset between scripts
-                             instead of re-forking.
+WORKERS (run, exec):
+    --exec-workers N         worker threads (default 4). Under `run` each
+                             thread executes a script and checks its trace
+                             before taking the next. On host/linux each thread
+                             drives a persistent pre-jailed worker process
+                             whose jail is reset between scripts instead of
+                             re-forking.
 
 EXPLORE OPTIONS:
     --backend sim|host       executor (default sim; host = differential mode)
@@ -56,8 +58,8 @@ EXPLORE OPTIONS:
     --corpus-dir DIR         persist minimized corpus entries under DIR
     --seed N                 base seed; every derived seed is recorded (default 42)
     --workers N              worker threads (default: up to 4)
-    --batch N                mutants per worker pipeline batch (default 8; 1 =
-                             sequential evaluation)
+    --batch N                mutants each worker plans before evaluating them
+                             (default 8; 1 = sequential evaluation)
     --min-coverage PCT       exit 1 if final branch coverage is below PCT
     --require-gain           exit 1 unless exploration beat the static quick suite
 
@@ -209,8 +211,8 @@ fn cmd_gen(args: &[String]) {
     }
 }
 
-/// `--exec-workers N`: how many executor threads (and, on the host backend,
-/// pooled worker processes) drive the execution pipeline.
+/// `--exec-workers N`: how many worker threads (and, on the host backend,
+/// pooled worker processes) execute the scripts.
 fn exec_workers_from(args: &[String]) -> usize {
     match opt_value(args, "--exec-workers") {
         Some(v) => match v.parse::<usize>() {
@@ -255,14 +257,12 @@ fn cmd_run(args: &[String]) {
     }
     print!("{}", render_run_markdown(&run.summary));
     println!(
-        "pipeline: execution {:.2}s ({} backend, {} workers)   checking {:.2}s overlapped \
-         ({:.0} traces/s, {} workers)",
-        run.exec_secs,
+        "workers: {} ({} backend) executed and checked {} traces in {:.2}s ({:.0} traces/s)",
+        run.check_stats.workers,
         run.summary.backend,
-        exec_workers,
+        run.check_stats.traces,
         run.check_stats.elapsed_secs,
-        run.check_stats.traces_per_sec,
-        run.check_stats.workers
+        run.check_stats.traces_per_sec
     );
     print_timings_if_asked(args);
 }
@@ -454,10 +454,12 @@ fn cmd_exec(args: &[String]) {
             })
         })
         .collect();
-    // All scripts execute through the pipeline concurrently; traces print in
+    // All scripts execute on the worker pool concurrently; traces print in
     // file order, stopping at the first failure like the sequential loop did.
-    let pipeline = sibylfs_exec::ExecPipeline::new(executor, exec_workers);
-    for result in pipeline.execute_batch(&scripts, ExecOptions::default()) {
+    let results = sibylfs_core::pool::map(exec_workers, &scripts, |script| {
+        executor.execute_script(script, ExecOptions::default())
+    });
+    for result in results {
         let trace = result.unwrap_or_else(|e| exec_error_exit(e));
         print!("{}", render_trace(&trace));
         println!();

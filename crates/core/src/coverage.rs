@@ -16,12 +16,12 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::commands::{ErrorOrValue, RetValue};
+use crate::pool::lock;
 
 static COLLECTOR: Mutex<Option<BTreeSet<String>>> = Mutex::new(None);
 
@@ -46,7 +46,7 @@ pub fn spec_point(name: &str) {
             }
         }
     });
-    let mut guard = COLLECTOR.lock();
+    let mut guard = lock(&COLLECTOR);
     if let Some(set) = guard.as_mut() {
         if !set.contains(name) {
             set.insert(name.to_string());
@@ -69,22 +69,22 @@ pub fn scoped_end() -> BTreeSet<String> {
 
 /// Start collecting coverage. Any previously collected points are cleared.
 pub fn enable() {
-    *COLLECTOR.lock() = Some(BTreeSet::new());
+    *lock(&COLLECTOR) = Some(BTreeSet::new());
 }
 
 /// Stop collecting coverage and return the set of points hit.
 pub fn disable() -> BTreeSet<String> {
-    COLLECTOR.lock().take().unwrap_or_default()
+    lock(&COLLECTOR).take().unwrap_or_default()
 }
 
 /// The set of points hit so far (empty if collection is disabled).
 pub fn snapshot() -> BTreeSet<String> {
-    COLLECTOR.lock().clone().unwrap_or_default()
+    lock(&COLLECTOR).clone().unwrap_or_default()
 }
 
 /// Whether collection is currently enabled.
 pub fn is_enabled() -> bool {
-    COLLECTOR.lock().is_some()
+    lock(&COLLECTOR).is_some()
 }
 
 /// The embedded model sources scanned by the spec-consistency audit.

@@ -25,14 +25,12 @@
 //! rationale.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Lock a mutex, riding through poisoning: observability must never wedge
-/// or abort the process it is observing.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+// Observability must never wedge or abort the process it is observing, so
+// every lock here rides through poisoning.
+use crate::pool::lock;
 
 // ---------------------------------------------------------------------------
 // Metric primitives
@@ -315,7 +313,7 @@ registry! {
     Counter TAU_SLEEP_PRUNED_TOTAL => "sibylfs_tau_sleep_pruned_total";
     Histogram CHECK_TRACE_NS => "sibylfs_check_trace_ns";
 
-    // Checker pool.
+    // Worker pool (`crate::pool`): every exec and check worker.
     Gauge POOL_QUEUE_DEPTH => "sibylfs_pool_queue_depth";
     Gauge POOL_WORKERS => "sibylfs_pool_workers";
     Counter POOL_JOBS_TOTAL => "sibylfs_pool_jobs_total";
@@ -355,12 +353,7 @@ registry! {
     Counter EXEC_SCRIPTS_TOTAL => "sibylfs_exec_scripts_total";
     Histogram EXEC_SCRIPT_NS => "sibylfs_exec_script_ns";
 
-    // Execution pipeline (ExecPipeline + pooled host workers).
-    Gauge EXEC_PIPE_QUEUE_DEPTH => "sibylfs_exec_pipe_queue_depth";
-    Gauge EXEC_PIPE_REORDER_DEPTH => "sibylfs_exec_pipe_reorder_depth";
-    Gauge EXEC_PIPE_WORKERS => "sibylfs_exec_pipe_workers";
-    Counter EXEC_PIPE_SCRIPTS_TOTAL => "sibylfs_exec_pipe_scripts_total";
-    Counter EXEC_PIPE_BUSY_NS_TOTAL => "sibylfs_exec_pipe_busy_ns_total";
+    // Pooled host workers.
     Counter EXEC_JAIL_RESETS_TOTAL => "sibylfs_exec_jail_resets_total";
     Counter EXEC_COLD_FORKS_TOTAL => "sibylfs_exec_cold_forks_total";
     Counter EXEC_WORKER_RESPAWNS_TOTAL => "sibylfs_exec_worker_respawns_total";

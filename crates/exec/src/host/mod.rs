@@ -959,9 +959,8 @@ fn fresh_sandbox_dir() -> std::io::Result<PathBuf> {
 ///   are spawned lazily, and a dead or corrupt worker triggers a cold-fork
 ///   fallback for that script plus a respawn for the next.
 ///
-/// Cloning shares the pool, so a pooled `HostFs` can be handed to an
-/// [`ExecPipeline`](crate::ExecPipeline) whose executor threads each check
-/// out their own worker process concurrently.
+/// Cloning shares the pool, and calls from many threads each check out their
+/// own worker process concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct HostFs {
     pool: Option<std::sync::Arc<WorkerPool>>,

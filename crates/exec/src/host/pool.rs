@@ -33,9 +33,10 @@
 //! counted by `sibylfs_exec_jail_resets_total`.
 
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 
 use sibylfs_core::obs;
+use sibylfs_core::pool::lock;
 use sibylfs_script::{parse_trace, render_trace, Script, Trace};
 
 use super::protocol::{
@@ -73,9 +74,8 @@ struct PoolState {
 ///
 /// Workers are spawned on demand up to the capacity; callers needing a
 /// worker when all are busy block until one is returned (or dies). Shared
-/// behind an `Arc` by [`HostFs::pooled`](super::HostFs::pooled), so the
-/// executor threads of an [`ExecPipeline`](crate::ExecPipeline) each check
-/// out their own worker concurrently.
+/// behind an `Arc` by [`HostFs::pooled`](super::HostFs::pooled), so
+/// concurrent callers each check out their own worker.
 #[derive(Debug)]
 pub struct WorkerPool {
     cap: usize,
@@ -310,10 +310,6 @@ fn run_on(
         Some((tag, _)) => Err(format!("unexpected reply frame tag {tag:#x}")),
         None => Err("worker died mid-script".to_string()),
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use sibylfs_core::commands::OsLabel;
 use sibylfs_core::obs;
+use sibylfs_core::pool;
 use sibylfs_core::types::{Gid, Uid, INITIAL_PID};
 use sibylfs_fsimpl::{BehaviorProfile, SimOs};
 use sibylfs_script::{Script, ScriptStep, Trace};
@@ -41,9 +42,6 @@ pub mod host;
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub use host::HostFs;
 
-pub mod pipeline;
-
-pub use pipeline::ExecPipeline;
 use std::sync::Arc;
 
 /// The configuration name under which the host backend appears in the CLI
@@ -201,8 +199,8 @@ pub fn execute_suite_on(
     scripts.iter().map(|s| exec.execute_script(s, opts)).collect()
 }
 
-/// Execute a whole suite through a temporary [`ExecPipeline`] with `workers`
-/// executor threads, returning traces in input order.
+/// Execute a whole suite on `workers` pool threads
+/// ([`sibylfs_core::pool::map`]), returning traces in input order.
 ///
 /// Semantics match [`execute_suite_on`]: the first failing script's error is
 /// returned (by input order, so the choice is deterministic even though later
@@ -215,8 +213,7 @@ pub fn execute_suite_pipelined(
     opts: ExecOptions,
     workers: usize,
 ) -> Result<Vec<Trace>, ExecError> {
-    let pipe = ExecPipeline::new(exec, workers);
-    pipe.execute_batch(scripts, opts).into_iter().collect()
+    pool::map(workers, scripts, |s| exec.execute_script(s, opts)).into_iter().collect()
 }
 
 /// Execute a whole suite of scripts against one simulated configuration.

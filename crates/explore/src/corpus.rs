@@ -82,7 +82,7 @@ pub struct CorpusEntry {
 }
 
 /// The shared, fingerprint-deduplicated corpus. Wrapped in a
-/// `parking_lot::Mutex` by the driver; the structure itself is single-threaded.
+/// `std::sync::Mutex` by the driver; the structure itself is single-threaded.
 #[derive(Debug, Default)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,

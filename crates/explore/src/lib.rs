@@ -37,9 +37,9 @@ pub mod shrink;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +47,8 @@ use sibylfs_check::{check_trace_with_coverage, CheckOptions, CheckedTrace, Devia
 use sibylfs_core::coverage::{CoverageKey, CoverageMap};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_core::obs;
-use sibylfs_exec::{ExecError, ExecOptions, ExecPipeline, Executor, SimExecutor};
+use sibylfs_core::pool::{self, lock};
+use sibylfs_exec::{ExecError, ExecOptions, Executor, SimExecutor};
 use sibylfs_fsimpl::configs;
 use sibylfs_report::render_coverage_map_markdown;
 use sibylfs_script::Script;
@@ -113,10 +114,9 @@ pub struct ExploreOptions {
     pub corpus_dir: Option<PathBuf>,
     /// Bound on mutated script length, in steps.
     pub max_steps: usize,
-    /// How many mutants each worker generates per round before executing
-    /// them all through the shared execution pipeline. Larger batches keep
-    /// the pipeline (and, in differential mode, the pooled host workers)
-    /// busy; `1` restores strictly-sequential per-mutant evaluation.
+    /// How many mutants each worker plans per round before evaluating them,
+    /// in order, on its own thread. `1` plans each mutant only after the
+    /// previous one has been evaluated.
     pub batch: usize,
     /// What the novelty reference starts from.
     pub baseline: BaselineMode,
@@ -287,7 +287,6 @@ impl ExploreOutcome {
 /// The two documented real-kernel divergences from the differential-harness
 /// PR; in differential mode these must not register as findings on every
 /// iteration. Kept in sync with `tests/host_differential.rs`.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn known_host_divergence(d: &Deviation) -> bool {
     (d.function == "open"
         && d.observed.starts_with("RV_fd(")
@@ -335,18 +334,6 @@ struct Shared {
     lint_repaired: AtomicUsize,
     active_workers: AtomicUsize,
     stop: AtomicBool,
-}
-
-/// The executors every explore worker shares: one simulator (and, in
-/// differential mode, one pooled host backend), each fronted by an
-/// [`ExecPipeline`] so a worker's whole mutant batch executes concurrently.
-struct ExecCtx<'a> {
-    sim: &'a SimExecutor,
-    pipe_sim: &'a ExecPipeline,
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    host: Option<&'a sibylfs_exec::HostFs>,
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    pipe_host: Option<&'a ExecPipeline>,
 }
 
 /// Run the exploration loop.
@@ -422,26 +409,14 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
         (_, tb) => tb,
     };
 
-    // One executor pair for the whole run: all workers feed the same
-    // pipelines, so mutant batches from different workers interleave over the
-    // executor threads (and the persistent host jails) instead of each worker
-    // paying its own setup.
-    let sim_arc = std::sync::Arc::new(sim);
-    let pipe_sim = ExecPipeline::new(sim_arc.clone(), opts.workers.max(1));
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    let host_arc = (opts.backend == Backend::Host)
-        .then(|| std::sync::Arc::new(sibylfs_exec::HostFs::pooled(opts.workers.max(1))));
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    let pipe_host = host_arc
-        .clone()
-        .map(|h| ExecPipeline::new(h as std::sync::Arc<dyn Executor + Send + Sync>, opts.workers.max(1)));
-    let ctx = ExecCtx {
-        sim: &sim_arc,
-        pipe_sim: &pipe_sim,
+    // One host pool for the whole run, one jailed worker process per
+    // explore worker, so no worker pays its own jail setup.
+    let host: Option<Box<dyn Executor + Sync>> = match opts.backend {
+        Backend::Sim => None,
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        host: host_arc.as_deref(),
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        pipe_host: pipe_host.as_ref(),
+        Backend::Host => Some(Box::new(sibylfs_exec::HostFs::pooled(opts.workers.max(1)))),
+        #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+        Backend::Host => unreachable!("host_backend_available() is false off 64-bit Linux"),
     };
     let start = Instant::now();
 
@@ -454,11 +429,11 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
             let handle = scope.spawn(move || {
                 while shared.active_workers.load(Ordering::SeqCst) > 0 {
                     std::thread::park_timeout(Duration::from_millis(500));
-                    let pct = shared.global.lock().branch_summary().percent();
+                    let pct = lock(&shared.global).branch_summary().percent();
                     eprint!(
                         "\rexplore: {} iters, corpus {}, coverage {:.1}% branches, {} novel, {} divergences, {} lint-rejected   ",
                         shared.iterations.load(Ordering::Relaxed),
-                        shared.corpus.lock().len(),
+                        lock(&shared.corpus).len(),
                         pct,
                         shared.novel_entries.load(Ordering::Relaxed),
                         shared.divergences.load(Ordering::Relaxed),
@@ -469,26 +444,18 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
             });
             handle.thread().clone()
         });
-        for w in 0..opts.workers {
-            let shared = &shared;
-            let mutator = &mutator;
-            let cfg = &cfg;
-            let opts_ref = opts;
-            let ctx = &ctx;
-            let progress = progress.clone();
-            scope.spawn(move || {
-                worker_loop(w, opts_ref, ctx, cfg, mutator, shared, start, budget);
-                if shared.active_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    if let Some(t) = progress {
-                        t.unpark();
-                    }
+        pool::for_each(opts.workers, 0..opts.workers, |w| {
+            worker_loop(w, opts, &sim, host.as_deref(), &cfg, &mutator, &shared, start, budget);
+            if shared.active_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                if let Some(t) = &progress {
+                    t.unpark();
                 }
-            });
-        }
+            }
+        });
     });
 
     let elapsed_secs = start.elapsed().as_secs_f64();
-    let coverage = shared.global.into_inner();
+    let coverage = shared.global.into_inner().unwrap_or_else(PoisonError::into_inner);
     let novel_keys = coverage.novel_versus(&baseline);
     Ok(ExploreOutcome {
         config: opts.config.clone(),
@@ -500,8 +467,8 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
         baseline,
         coverage,
         novel_keys,
-        corpus_len: shared.corpus.into_inner().len(),
-        saved: shared.saved.into_inner(),
+        corpus_len: shared.corpus.into_inner().unwrap_or_else(PoisonError::into_inner).len(),
+        saved: shared.saved.into_inner().unwrap_or_else(PoisonError::into_inner),
         divergences: shared.divergences.load(Ordering::SeqCst),
         exec_errors: shared.exec_errors.load(Ordering::SeqCst),
         lint_rejected: shared.lint_rejected.load(Ordering::SeqCst),
@@ -519,14 +486,14 @@ struct Planned {
 fn worker_loop(
     worker: usize,
     opts: &ExploreOptions,
-    ctx: &ExecCtx<'_>,
+    sim: &SimExecutor,
+    host: Option<&(dyn Executor + Sync)>,
     cfg: &SpecConfig,
     mutator: &Mutator,
     shared: &Shared,
     start: Instant,
     budget: Option<Duration>,
 ) {
-    let sim = ctx.sim;
     let worker_seed = split_seed(opts.seed, worker as u64);
     let mut iter: u64 = 0;
     let batch_size = opts.batch.max(1);
@@ -563,7 +530,7 @@ fn worker_loop(
             iter += 1;
             let mut rng = StdRng::seed_from_u64(derived);
             let parent = {
-                let corpus = shared.corpus.lock();
+                let corpus = lock(&shared.corpus);
                 corpus
                     .pick(&mut rng)
                     .expect("the corpus is seeded before workers start")
@@ -578,7 +545,7 @@ fn worker_loop(
             // with no calls left. Steps predicting a *novel* key are kept, so
             // the filter can only save executions, never coverage.
             let repair = {
-                let global = shared.global.lock();
+                let global = lock(&shared.global);
                 sibylfs_analyze::repair_for_explore(&child, &global)
             };
             let child = match repair {
@@ -600,52 +567,21 @@ fn worker_loop(
             break; // stopped (or budget hit) with nothing left to evaluate
         }
 
-        // --- Execute the whole batch through the shared pipeline(s):
-        // this worker's mutants run concurrently over the executor threads
-        // (and, in differential mode, the persistent host jails), and
-        // interleave with every other worker's batches. ------------------
-        let scripts: Vec<Script> = planned.iter().map(|p| p.child.clone()).collect();
-        let sim_traces = ctx.pipe_sim.execute_batch(&scripts, ExecOptions::default());
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        let host_traces: Vec<Option<Result<sibylfs_script::Trace, ExecError>>> =
-            match ctx.pipe_host {
-                Some(pipe) => pipe
-                    .execute_batch(&scripts, ExecOptions::default())
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-                None => planned.iter().map(|_| None).collect(),
-            };
-        #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-        let host_traces: Vec<Option<Result<sibylfs_script::Trace, ExecError>>> =
-            planned.iter().map(|_| None).collect();
-
-        // --- Process results in claim order (novelty, divergences, and
-        // shrinking are deterministic per mutant given the shared state). --
-        for ((p, sim_res), host_res) in
-            planned.into_iter().zip(sim_traces).zip(host_traces)
-        {
+        // --- Evaluate the batch in claim order on this thread (novelty,
+        // divergences, and shrinking are deterministic per mutant given the
+        // shared state). ---------------------------------------------------
+        for Planned { child, provenance } in planned {
             let _span = obs::span("explore", "explore_iter");
-            let Planned { child, provenance } = p;
-            let trace = match sim_res {
-                Ok(t) => t,
-                Err(_) => {
-                    shared.exec_errors.fetch_add(1, Ordering::Relaxed);
-                    obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
-                    continue;
-                }
+            let Ok(eval) = evaluate(sim, cfg, &child) else {
+                shared.exec_errors.fetch_add(1, Ordering::Relaxed);
+                obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
+                continue;
             };
-            let (checked, cov) = check_trace_with_coverage(cfg, &trace, CheckOptions::default());
-            let eval = Eval { checked, cov };
 
             // Differential mode: compare the sim verdict with the host verdict.
-            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-            if let (Some(host), Some(host_res)) = (ctx.host, host_res) {
-                match host_res {
-                    Ok(host_trace) => {
-                        let (hchecked, hcov) =
-                            check_trace_with_coverage(cfg, &host_trace, CheckOptions::default());
-                        let host_eval = Eval { checked: hchecked, cov: hcov };
+            if let Some(host) = host {
+                match evaluate(host, cfg, &child) {
+                    Ok(host_eval) => {
                         if verdict_mismatch(&eval, &host_eval) {
                             handle_divergence(
                                 sim, host, cfg, &child, &eval, &host_eval, provenance, opts,
@@ -659,8 +595,6 @@ fn worker_loop(
                     }
                 }
             }
-            #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-            let _ = host_res;
 
             // Sim-only mode: a deviation means the simulation left the model's
             // envelope — itself a distinguishing finding.
@@ -670,7 +604,7 @@ fn worker_loop(
 
             // Coverage feedback: does the child reach anything new?
             let novel0 = {
-                let global = shared.global.lock();
+                let global = lock(&shared.global);
                 eval.cov.novel_versus(&global)
             };
             if novel0.is_empty() {
@@ -691,7 +625,7 @@ fn worker_loop(
             });
             let Ok(min_eval) = evaluate(sim, cfg, &minimized) else { continue };
             let (new_keys, added) = {
-                let mut global = shared.global.lock();
+                let mut global = lock(&shared.global);
                 let new_keys = min_eval.cov.novel_versus(&global);
                 let added = global.merge(&min_eval.cov);
                 (new_keys, added)
@@ -715,7 +649,6 @@ fn worker_loop(
 
 /// Two evaluations disagree when one conforms to the model and the other does
 /// not (after dropping the documented kernel divergences from the host side).
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn verdict_mismatch(sim: &Eval, host: &Eval) -> bool {
     let host_deviates =
         host.checked.deviations.iter().any(|d| !known_host_divergence(d));
@@ -724,11 +657,10 @@ fn verdict_mismatch(sim: &Eval, host: &Eval) -> bool {
 
 /// A sim-vs-host verdict mismatch: shrink to a minimal distinguishing script
 /// and save it under `divergences/`.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 #[allow(clippy::too_many_arguments)]
 fn handle_divergence(
     sim: &SimExecutor,
-    host: &sibylfs_exec::HostFs,
+    host: &dyn Executor,
     cfg: &SpecConfig,
     child: &Script,
     eval: &Eval,
@@ -738,7 +670,7 @@ fn handle_divergence(
     shared: &Shared,
 ) {
     let sig = divergence_signature(eval, host_eval);
-    if !shared.divergence_sigs.lock().insert(sig) {
+    if !lock(&shared.divergence_sigs).insert(sig) {
         return;
     }
     let minimized = shrink(child, |cand| {
@@ -768,7 +700,6 @@ fn observed_kind(observed: &str) -> &str {
     &observed[..end]
 }
 
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn divergence_signature(sim: &Eval, host: &Eval) -> (String, String) {
     let side = |e: &Eval| {
         e.checked
@@ -794,7 +725,7 @@ fn handle_sim_deviation(
 ) {
     let Some(first) = eval.checked.deviations.first() else { return };
     let sig = (first.function.clone(), observed_kind(&first.observed).to_string());
-    if !shared.divergence_sigs.lock().insert(sig.clone()) {
+    if !lock(&shared.divergence_sigs).insert(sig.clone()) {
         return;
     }
     let minimized = shrink(child, |cand| {
@@ -820,7 +751,7 @@ fn handle_sim_deviation(
 }
 
 fn save_entry(entry: CorpusEntry, opts: &ExploreOptions, shared: &Shared) {
-    let mut corpus = shared.corpus.lock();
+    let mut corpus = lock(&shared.corpus);
     if !corpus.insert(entry) {
         return;
     }
@@ -829,7 +760,7 @@ fn save_entry(entry: CorpusEntry, opts: &ExploreOptions, shared: &Shared) {
     drop(corpus);
     if let Some(dir) = &opts.corpus_dir {
         match corpus::persist_entry(dir, &entry) {
-            Ok(path) => shared.saved.lock().push(path),
+            Ok(path) => lock(&shared.saved).push(path),
             Err(e) => eprintln!("warning: could not persist corpus entry: {e}"),
         }
     }

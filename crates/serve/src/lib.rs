@@ -4,7 +4,7 @@
 //! the batch checker into a network service. [`server::start`] runs a
 //! long-lived TCP server that accepts traces over a length-prefixed wire
 //! protocol ([`protocol`]), checks them on a shared
-//! [`CheckerPool`](sibylfs_check::CheckerPool), and streams structured
+//! [`WorkPool`](sibylfs_core::pool::WorkPool), and streams structured
 //! verdicts back in request order. [`client::BlockingClient`] is the matching
 //! library client, and the `sibylfs_loadgen` binary drives a server with many
 //! concurrent clients to measure checked-traces/sec and latency percentiles.

@@ -1,7 +1,7 @@
 //! The long-running oracle server.
 //!
 //! One accept thread, two threads per session (reader and writer), and one
-//! shared [`CheckerPool`] doing the actual model checking, so checking stays
+//! shared [`WorkPool`] doing the actual model checking, so checking stays
 //! batched across clients: a single client's burst fans out over every pool
 //! worker, and many idle sessions cost no checker threads at all.
 //!
@@ -31,9 +31,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use sibylfs_check::{render_checked_trace, CheckOptions, CheckerPool};
+use sibylfs_check::{check_trace, render_checked_trace, CheckOptions};
 use sibylfs_core::intern;
 use sibylfs_core::obs;
+use sibylfs_core::pool::WorkPool;
 use sibylfs_script::parse_trace;
 
 use crate::protocol::{
@@ -80,11 +81,13 @@ impl Default for ServeOptions {
 
 struct Shared {
     opts: ServeOptions,
-    pool: CheckerPool,
+    pool: WorkPool,
     shutdown: AtomicBool,
     active_sessions: AtomicUsize,
     sessions_total: AtomicU64,
-    checked_total: AtomicU64,
+    /// Shared with the check jobs on its own, so that no job holds (and
+    /// could drop) the last reference to the pool it runs on.
+    checked_total: Arc<AtomicU64>,
     errors_total: AtomicU64,
     intern_baseline_bytes: usize,
     /// The metrics snapshot (and when it was taken) behind the previous
@@ -206,13 +209,13 @@ pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
         None => None,
     };
     let shared = Arc::new(Shared {
-        pool: CheckerPool::new(opts.workers),
+        pool: WorkPool::new(opts.workers),
         intern_baseline_bytes: intern::stats().bytes,
         opts,
         shutdown: AtomicBool::new(false),
         active_sessions: AtomicUsize::new(0),
         sessions_total: AtomicU64::new(0),
-        checked_total: AtomicU64::new(0),
+        checked_total: Arc::new(AtomicU64::new(0)),
         errors_total: AtomicU64::new(0),
         last_tick: Mutex::new((Instant::now(), obs::snapshot())),
     });
@@ -287,6 +290,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             return;
         }
         let Ok(stream) = conn else { continue };
+        // Replies are small frames written as soon as they are ready; without
+        // this, delayed ACK can hold one back for up to 40 ms.
+        let _ = stream.set_nodelay(true);
         let session_shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("sibylfs-session".to_string())
@@ -525,10 +531,12 @@ fn handle_check(
         }
     };
 
-    let done_shared = Arc::clone(shared);
+    let checked_total = Arc::clone(&shared.checked_total);
     let done_session = Arc::clone(session);
-    shared.pool.submit(cfg, trace, shared.opts.check, move |checked| {
-        done_shared.checked_total.fetch_add(1, Ordering::Relaxed);
+    let opts = shared.opts.check;
+    shared.pool.submit(move || {
+        let checked = check_trace(&cfg, &trace, opts);
+        checked_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
         done_session.complete(seq, &Response::Verdict(render_checked_trace(&checked)));
     });

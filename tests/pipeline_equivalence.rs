@@ -1,8 +1,8 @@
-//! Pipelined execution must be a pure performance change: for every backend,
-//! the traces (and therefore the verdicts) coming out of the streaming
-//! `ExecPipeline` — and, on the host, out of the persistent pre-jailed
-//! worker pool — must be byte-identical to the plain sequential
-//! `execute_suite_on` path, in the same order.
+//! Pooled execution must be a pure performance change: for every backend,
+//! the traces (and therefore the verdicts) coming out of
+//! `execute_suite_pipelined`'s worker threads — and, on the host, out of the
+//! persistent pre-jailed worker pool — must be byte-identical to the plain
+//! sequential `execute_suite_on` path, in the same order.
 //!
 //! The corpus deliberately mixes the three script populations with different
 //! stress profiles: the combinatorial quick suite (breadth), the model-gap
