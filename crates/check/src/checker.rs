@@ -1,4 +1,23 @@
 //! The core trace-checking algorithm.
+//!
+//! One step loop ([`Checker`]) applies a trace's labels in order to the set
+//! of model states the real system might be in. [`check_trace`] runs it once
+//! from the initial state; a [`Checker`] session runs it over many traces
+//! and skips the labels a trace shares with the one checked before it.
+//!
+//! Resumption rests on one invariant: the loop state after `n` labels
+//! depends only on those labels, their line numbers, the spec config and the
+//! [`CheckOptions`]. Nothing else feeds it: no trace name, no clock, no
+//! global state that changes a verdict. So the state a previous trace
+//! reached after a shared prefix of `(lineno, label)` pairs is exactly the
+//! state a fresh check of the new trace reaches there.
+//!
+//! A snapshot, taken after each label, holds that loop state: the tracked
+//! `StateSet`, the per-state POR sleep sets, the largest set size so far,
+//! and each process's last call (for deviation diagnostics). It also holds
+//! the label with its line number, which is what the next trace is matched
+//! against, and how many `CheckedStep`s and `Deviation`s the trace had
+//! recorded by then, so the prefix's verdicts are reused without rerunning.
 
 use serde::{Deserialize, Serialize};
 
@@ -169,118 +188,226 @@ impl CheckedTrace {
     }
 }
 
-/// Check a single trace against the model configured by `cfg`.
-pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> CheckedTrace {
-    let _span = obs::span("check", "check_trace");
-    let started = std::time::Instant::now();
-    // Dedup hits are tallied locally per trace and flushed once below: the
-    // insert path is too hot for shared atomics (see `StateSet::take_dedup_hits`).
-    let mut dedup_hits: u64 = 0;
-    let init_cfg = SpecConfig { root_user: opts.root_user, ..*cfg };
-    let mut states =
-        StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
-    // Per-state sleep sets, parallel to `states` (see `trans::SleepSet`).
-    // All-empty unless POR is active; empty sleep sets make every POR branch
-    // below a no-op, so Off mode follows the exact pre-POR code path.
-    let mut sleeps: Vec<SleepSet> = vec![SleepSet::new()];
-    let mut steps = Vec::new();
-    let mut deviations = Vec::new();
-    let mut max_states = states.len();
-    // The last call made by each process, for diagnostics.
-    let mut last_call: Vec<(Pid, OsCommand)> = Vec::new();
+/// The loop state between two labels: everything the verdicts of the
+/// remaining labels depend on, apart from the labels themselves.
+#[derive(Debug, Clone)]
+struct LoopState {
+    states: StateSet,
+    /// Per-state sleep sets, parallel to `states` (see `trans::SleepSet`).
+    /// All-empty unless POR is active; empty sleep sets make every POR branch
+    /// below a no-op, so Off mode follows the exact pre-POR code path.
+    sleeps: Vec<SleepSet>,
+    /// The largest state set tracked so far.
+    max_states: usize,
+    /// The last call made by each process, for diagnostics.
+    last_call: Vec<(Pid, OsCommand)>,
+}
 
-    for step in &trace.steps {
-        let label = &step.label;
-        if let OsLabel::Call(pid, cmd) = label.clone() {
-            last_call.retain(|(p, _)| *p != pid);
-            last_call.push((pid, cmd));
+impl LoopState {
+    fn initial(init_cfg: &SpecConfig) -> LoopState {
+        let states = StateSet::singleton(OsState::initial_with_process(init_cfg, INITIAL_PID));
+        LoopState {
+            max_states: states.len(),
+            states,
+            sleeps: vec![SleepSet::new()],
+            last_call: Vec::new(),
         }
+    }
+}
 
-        let (next, next_sleeps, verdict) = apply_label(cfg, states, sleeps, label);
-        match &verdict {
-            StepVerdict::Ok => {}
-            // Only the bound-handling block below constructs this variant.
-            StepVerdict::StateSetBounded { .. } => {
-                unreachable!("apply_label never returns StateSetBounded")
+/// One label of the last trace a [`Checker`] checked, and the loop state
+/// after it.
+#[derive(Debug)]
+struct Snapshot {
+    lineno: usize,
+    label: OsLabel,
+    after: LoopState,
+    /// How many `CheckedStep`s and `Deviation`s the trace had by then.
+    steps: usize,
+    deviations: usize,
+}
+
+/// A checking session that starts each trace from the longest prefix of
+/// `(lineno, label)` pairs it shares with the trace checked last, reusing
+/// that prefix's steps and deviations (the module docs say why that is
+/// sound). The match compares observed labels only; the session knows
+/// nothing about how the traces were made. Every [`CheckedTrace`] equals
+/// what [`check_trace`] returns for the same trace.
+#[derive(Debug)]
+pub struct Checker {
+    cfg: SpecConfig,
+    opts: CheckOptions,
+    /// The last trace's snapshots, one per label.
+    snapshots: Vec<Snapshot>,
+    /// The last trace's checked steps and deviations.
+    steps: Vec<CheckedStep>,
+    deviations: Vec<Deviation>,
+}
+
+impl Checker {
+    /// A session checking against `cfg` with `opts`.
+    pub fn new(cfg: &SpecConfig, opts: CheckOptions) -> Checker {
+        Checker {
+            cfg: *cfg,
+            opts,
+            snapshots: Vec::new(),
+            steps: Vec::new(),
+            deviations: Vec::new(),
+        }
+    }
+
+    /// Check `trace`, resuming from the longest prefix it shares with the
+    /// trace checked last.
+    pub fn check(&mut self, trace: &Trace) -> CheckedTrace {
+        self.run(trace, true)
+    }
+
+    /// The step loop. With `keep` set, it snapshots after each label it
+    /// applies, and the result copies the steps so the next trace can reuse
+    /// them; without it, the session is used once and gives its steps away.
+    fn run(&mut self, trace: &Trace, keep: bool) -> CheckedTrace {
+        let _span = obs::span("check", "check_trace");
+        let started = std::time::Instant::now();
+        let cfg = &self.cfg;
+        let opts = self.opts;
+        let init_cfg = SpecConfig { root_user: opts.root_user, ..*cfg };
+
+        let resumed = self
+            .snapshots
+            .iter()
+            .zip(&trace.steps)
+            .take_while(|(snap, step)| snap.lineno == step.lineno && snap.label == step.label)
+            .count();
+        self.snapshots.truncate(resumed);
+        let (mut st, steps_kept, deviations_kept) = match self.snapshots.last() {
+            Some(snap) => (snap.after.clone(), snap.steps, snap.deviations),
+            None => (LoopState::initial(&init_cfg), 0, 0),
+        };
+        self.steps.truncate(steps_kept);
+        self.deviations.truncate(deviations_kept);
+        let steps = &mut self.steps;
+        let deviations = &mut self.deviations;
+        // Dedup hits are tallied locally per trace and flushed once below: the
+        // insert path is too hot for shared atomics (see `StateSet::take_dedup_hits`).
+        let mut dedup_hits: u64 = 0;
+
+        for step in &trace.steps[resumed..] {
+            let label = &step.label;
+            if let OsLabel::Call(pid, cmd) = label.clone() {
+                st.last_call.retain(|(p, _)| *p != pid);
+                st.last_call.push((pid, cmd));
             }
-            StepVerdict::Deviation { observed, allowed, .. } => {
-                let (function, call) = label
-                    .pid()
-                    .and_then(|pid| last_call.iter().find(|(p, _)| *p == pid))
-                    .map(|(_, c)| (c.name().to_string(), c.to_string()))
-                    .unwrap_or_else(|| ("<unknown>".to_string(), String::new()));
+
+            let states = std::mem::take(&mut st.states);
+            let sleeps = std::mem::take(&mut st.sleeps);
+            let (next, next_sleeps, verdict) = apply_label(cfg, states, sleeps, label);
+            match &verdict {
+                StepVerdict::Ok => {}
+                // Only the bound-handling block below constructs this variant.
+                StepVerdict::StateSetBounded { .. } => {
+                    unreachable!("apply_label never returns StateSetBounded")
+                }
+                StepVerdict::Deviation { observed, allowed, .. } => {
+                    let (function, call) = label
+                        .pid()
+                        .and_then(|pid| st.last_call.iter().find(|(p, _)| *p == pid))
+                        .map(|(_, c)| (c.name().to_string(), c.to_string()))
+                        .unwrap_or_else(|| ("<unknown>".to_string(), String::new()));
+                    deviations.push(Deviation {
+                        lineno: step.lineno,
+                        function,
+                        call,
+                        observed: observed.clone(),
+                        allowed: allowed.clone(),
+                    });
+                }
+            }
+            st.states = next;
+            st.sleeps = next_sleeps;
+            dedup_hits += st.states.take_dedup_hits();
+            st.max_states = st.max_states.max(st.states.len());
+            steps.push(CheckedStep {
+                lineno: step.lineno,
+                label: StepLabel::Observed(label.clone()),
+                kind: StepKind::of_label(label),
+                verdict,
+                states_tracked: st.states.len(),
+            });
+            if st.states.len() > opts.max_states {
+                // The remainder of the check is lossy: record it loudly so the
+                // trace is never reported clean.
+                let tracked = st.states.len();
+                obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
+                st.states.truncate(opts.max_states);
+                st.sleeps.truncate(opts.max_states);
+                // Truncation may have dropped the sibling states that justified a
+                // survivor's sleep entries; wake everything to stay sound.
+                for s in &mut st.sleeps {
+                    s.clear();
+                }
                 deviations.push(Deviation {
                     lineno: step.lineno,
-                    function,
-                    call,
-                    observed: observed.clone(),
-                    allowed: allowed.clone(),
+                    function: "<checker>".to_string(),
+                    call: "<state-set safety bound>".to_string(),
+                    observed: format!("{tracked} states tracked"),
+                    allowed: vec![format!(
+                        "at most {} states (CheckOptions::max_states)",
+                        opts.max_states
+                    )],
+                });
+                steps.push(CheckedStep {
+                    lineno: step.lineno,
+                    label: StepLabel::Synthetic("<state-set safety bound exceeded; set truncated>"),
+                    kind: StepKind::Internal,
+                    verdict: StepVerdict::StateSetBounded { tracked, bound: opts.max_states },
+                    states_tracked: st.states.len(),
+                });
+            }
+            if st.states.is_empty() {
+                // Unrecoverable (should not happen: recovery always yields at
+                // least one state); restart from a fresh state to keep going.
+                st.states =
+                    StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
+                st.sleeps = vec![SleepSet::new()];
+            }
+            if keep {
+                self.snapshots.push(Snapshot {
+                    lineno: step.lineno,
+                    label: label.clone(),
+                    after: st.clone(),
+                    steps: steps.len(),
+                    deviations: deviations.len(),
                 });
             }
         }
-        states = next;
-        sleeps = next_sleeps;
-        dedup_hits += states.take_dedup_hits();
-        max_states = max_states.max(states.len());
-        steps.push(CheckedStep {
-            lineno: step.lineno,
-            label: StepLabel::Observed(label.clone()),
-            kind: StepKind::of_label(label),
-            verdict,
-            states_tracked: states.len(),
-        });
-        if states.len() > opts.max_states {
-            // The remainder of the check is lossy: record it loudly so the
-            // trace is never reported clean.
-            let tracked = states.len();
-            obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
-            states.truncate(opts.max_states);
-            sleeps.truncate(opts.max_states);
-            // Truncation may have dropped the sibling states that justified a
-            // survivor's sleep entries; wake everything to stay sound.
-            for s in &mut sleeps {
-                s.clear();
-            }
-            deviations.push(Deviation {
-                lineno: step.lineno,
-                function: "<checker>".to_string(),
-                call: "<state-set safety bound>".to_string(),
-                observed: format!("{tracked} states tracked"),
-                allowed: vec![format!(
-                    "at most {} states (CheckOptions::max_states)",
-                    opts.max_states
-                )],
-            });
-            steps.push(CheckedStep {
-                lineno: step.lineno,
-                label: StepLabel::Synthetic("<state-set safety bound exceeded; set truncated>"),
-                kind: StepKind::Internal,
-                verdict: StepVerdict::StateSetBounded { tracked, bound: opts.max_states },
-                states_tracked: states.len(),
-            });
-        }
-        if states.is_empty() {
-            // Unrecoverable (should not happen: recovery always yields at
-            // least one state); restart from a fresh state to keep going.
-            states =
-                StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
-            sleeps = vec![SleepSet::new()];
+
+        obs::m::CHECK_TRACES_TOTAL.inc();
+        obs::m::CHECK_DEVIATIONS_TOTAL.add(deviations.len() as u64);
+        obs::m::CHECK_LABELS_APPLIED_TOTAL.add((trace.steps.len() - resumed) as u64);
+        obs::m::CHECK_LABELS_RESUMED_TOTAL.add(resumed as u64);
+        obs::m::STATE_DEDUP_HITS_TOTAL.add(dedup_hits);
+        obs::m::CHECK_TRACE_NS.record_duration(started.elapsed());
+
+        let (steps, deviations) = if keep {
+            (steps.clone(), deviations.clone())
+        } else {
+            (std::mem::take(steps), std::mem::take(deviations))
+        };
+        CheckedTrace {
+            name: trace.name.clone(),
+            group: trace.group.clone(),
+            accepted: deviations.is_empty(),
+            steps,
+            deviations,
+            max_states_tracked: st.max_states,
         }
     }
+}
 
-    obs::m::CHECK_TRACES_TOTAL.inc();
-    obs::m::CHECK_DEVIATIONS_TOTAL.add(deviations.len() as u64);
-    obs::m::STATE_DEDUP_HITS_TOTAL.add(dedup_hits);
-    obs::m::CHECK_TRACE_NS.record_duration(started.elapsed());
-
-    CheckedTrace {
-        name: trace.name.clone(),
-        group: trace.group.clone(),
-        accepted: deviations.is_empty(),
-        steps,
-        deviations,
-        max_states_tracked: max_states,
-    }
+/// Check a single trace against the model configured by `cfg`: a one-trace
+/// [`Checker`] session that keeps no snapshots.
+pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> CheckedTrace {
+    Checker::new(cfg, opts).run(trace, false)
 }
 
 /// Check a trace and record the model coverage exercised while doing so.

@@ -21,9 +21,8 @@ pub mod parallel;
 pub mod render;
 
 pub use checker::{
-    check_trace, check_trace_with_coverage, CheckOptions, CheckedStep, CheckedTrace, Deviation,
-    StepLabel,
-    StepKind, StepVerdict,
+    check_trace, check_trace_with_coverage, CheckOptions, CheckedStep, CheckedTrace, Checker,
+    Deviation, StepKind, StepLabel, StepVerdict,
 };
 pub use parallel::{check_traces_parallel, SuiteCheckStats};
 pub use render::{

@@ -12,7 +12,7 @@ use sibylfs_core::flavor::SpecConfig;
 use sibylfs_core::pool;
 use sibylfs_script::Trace;
 
-use crate::checker::{check_trace, CheckOptions, CheckedTrace};
+use crate::checker::{CheckOptions, CheckedTrace, Checker};
 
 /// Aggregate statistics for a suite-checking run (reported by §7.1/§7.2
 /// experiments).
@@ -58,7 +58,9 @@ impl SuiteCheckStats {
 
 /// Check a set of traces using `workers` threads, preserving input order.
 /// Workers take the next unchecked trace as they come free, so a few long
-/// traces amid thousands of short ones never leave a worker idle.
+/// traces amid thousands of short ones never leave a worker idle. Each
+/// worker checks through its own [`Checker`] session, so a trace resumes from
+/// the prefix it shares with the last trace that worker checked.
 pub fn check_traces_parallel(
     cfg: &SpecConfig,
     traces: &[Trace],
@@ -67,7 +69,8 @@ pub fn check_traces_parallel(
 ) -> (Vec<CheckedTrace>, SuiteCheckStats) {
     let workers = workers.max(1);
     let start = Instant::now();
-    let results = pool::map(workers, traces, |t| check_trace(cfg, t, opts));
+    let results =
+        pool::map_with(workers, traces, || Checker::new(cfg, opts), |checker, t| checker.check(t));
     let stats = SuiteCheckStats::from_results(&results, start.elapsed(), workers);
     (results, stats)
 }

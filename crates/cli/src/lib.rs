@@ -6,7 +6,7 @@ pub mod bench_diff;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sibylfs_check::{check_trace, CheckOptions, CheckedTrace, SuiteCheckStats};
+use sibylfs_check::{CheckOptions, CheckedTrace, Checker, SuiteCheckStats};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_core::pool;
 use sibylfs_exec::{ExecError, ExecOptions, Executor, SimExecutor, HOST_CONFIG_NAME};
@@ -97,9 +97,10 @@ pub fn host_profile() -> BehaviorProfile {
 ///
 /// Each of `workers` pool threads executes a script and checks its trace
 /// before taking the next script, so at most `workers` unchecked traces exist
-/// at any time. Results keep suite order and are byte-identical to executing
-/// everything, then checking everything; the error returned is the first by
-/// suite order.
+/// at any time. Each thread checks through its own [`Checker`] session, which
+/// resumes a trace from the prefix it shares with that thread's previous one.
+/// Results keep suite order and are byte-identical to executing everything,
+/// then checking everything; the error returned is the first by suite order.
 ///
 /// `ConfigRun::profile` is resolved from the executor's configuration name
 /// (registry lookup, or the host pseudo-profile); callers that already hold
@@ -116,10 +117,15 @@ pub fn run_executor(
     let cfg = SpecConfig::standard(flavor);
 
     let start = Instant::now();
-    let checked = pool::map(workers, suite, |script| {
-        let trace = exec.execute_script(script, ExecOptions::default())?;
-        Ok(check_trace(&cfg, &trace, CheckOptions::default()))
-    })
+    let checked = pool::map_with(
+        workers,
+        suite,
+        || Checker::new(&cfg, CheckOptions::default()),
+        |checker, script| {
+            let trace = exec.execute_script(script, ExecOptions::default())?;
+            Ok(checker.check(&trace))
+        },
+    )
     .into_iter()
     .collect::<Result<Vec<CheckedTrace>, ExecError>>()?;
     let check_stats = SuiteCheckStats::from_results(&checked, start.elapsed(), workers);

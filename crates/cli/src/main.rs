@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use sibylfs_check::{check_trace, render_checked_trace, render_parse_error, CheckOptions};
+use sibylfs_check::{render_checked_trace, render_parse_error, CheckOptions, Checker};
 use sibylfs_cli::{
     executor_for_config, executor_for_config_with, run_executor, suite_from_args, DEFAULT_WORKERS,
 };
@@ -292,6 +292,9 @@ fn cmd_check(args: &[String]) {
     if let Some(addr) = remote {
         return check_remote(&addr, &cfg, &files);
     }
+    // One session over the files in argument order: a trace resumes from the
+    // prefix it shares with the file before it.
+    let mut checker = Checker::new(&cfg, CheckOptions::default());
     let mut failing = 0usize;
     for file in files {
         let text = read_or_exit(file);
@@ -300,7 +303,7 @@ fn cmd_check(args: &[String]) {
             eprint!("{}", render_parse_error(file, &e));
             std::process::exit(2);
         });
-        let checked = check_trace(&cfg, &trace, CheckOptions::default());
+        let checked = checker.check(&trace);
         if !checked.accepted {
             failing += 1;
         }

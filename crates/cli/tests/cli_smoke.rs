@@ -124,6 +124,50 @@ fn exec_then_check_round_trips_through_the_binary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `check A B C …` checks its files through one resumable session in
+/// argument order; its output must equal checking each file on its own.
+#[test]
+fn checking_many_files_at_once_matches_one_run_per_file() {
+    use sibylfs_exec::{execute_script, ExecOptions};
+    use sibylfs_testgen::{generate_suite, SuiteOptions};
+
+    let dir = temp_dir("check-many");
+    let profile = sibylfs_fsimpl::configs::by_name("linux/tmpfs").expect("registered config");
+    let files: Vec<String> = generate_suite(SuiteOptions::quick())
+        .iter()
+        .take(20)
+        .enumerate()
+        .map(|(i, script)| {
+            let trace = execute_script(&profile, script, ExecOptions::default());
+            let path = dir.join(format!("{i:02}.trace"));
+            write(&path, &sibylfs_script::render_trace(&trace));
+            path.to_str().expect("utf-8 temp path").to_string()
+        })
+        .collect();
+    let check_all = |files: &[String]| {
+        let mut args = vec!["check", "--flavor", "linux"];
+        args.extend(files.iter().map(String::as_str));
+        run(&args)
+    };
+    let one_by_one = |files: &[String]| -> String {
+        files.iter().map(|f| stdout(&run(&["check", "--flavor", "linux", f]))).collect()
+    };
+
+    let all = check_all(&files);
+    assert_eq!(code(&all), 0, "stderr: {}", stderr(&all));
+    assert_eq!(stdout(&all), one_by_one(&files));
+
+    // A trace in the middle whose first mkdir fails with EPERM deviates.
+    let bad = &files[10];
+    let text = std::fs::read_to_string(bad).expect("read trace");
+    write(Path::new(bad), &text.replacen("RV_none", "EPERM", 1));
+    let all = check_all(&files);
+    assert_eq!(code(&all), 1, "one failing trace still exits 1");
+    assert!(stdout(&all).contains("allowed are only"));
+    assert_eq!(stdout(&all), one_by_one(&files));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn check_rejects_unparseable_and_missing_trace_files() {
     let dir = temp_dir("check-bad");

@@ -308,6 +308,8 @@ registry! {
     Counter CHECK_TRACES_TOTAL => "sibylfs_check_traces_total";
     Counter CHECK_DEVIATIONS_TOTAL => "sibylfs_check_deviations_total";
     Counter CHECK_TRUNCATIONS_TOTAL => "sibylfs_check_truncations_total";
+    Counter CHECK_LABELS_APPLIED_TOTAL => "sibylfs_check_labels_applied_total";
+    Counter CHECK_LABELS_RESUMED_TOTAL => "sibylfs_check_labels_resumed_total";
     Counter STATE_DEDUP_HITS_TOTAL => "sibylfs_state_dedup_hits_total";
     Counter TAU_STATES_EXPANDED_TOTAL => "sibylfs_tau_states_expanded_total";
     Counter TAU_SLEEP_PRUNED_TOTAL => "sibylfs_tau_sleep_pruned_total";

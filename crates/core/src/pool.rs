@@ -9,6 +9,10 @@
 //! * [`map`] is `for_each` over the indices of a slice: each result is
 //!   written into its index's slot, so the output is in input order with no
 //!   queue and no reorder buffer.
+//! * [`for_each_with`] and [`map_with`] are the same with per-worker state:
+//!   `init` runs once on each worker thread, and every item that thread
+//!   runs gets `&mut` to that state (a checker session, say). `for_each` and
+//!   `map` are these with no state, so the worker loop exists once.
 //! * [`WorkPool`] is a long-lived background `for_each` over a channel of
 //!   jobs, for a server whose sessions submit work as it arrives. A
 //!   panicking job is caught and counted; the worker moves on.
@@ -41,6 +45,19 @@ where
     I: Iterator + Send,
     F: Fn(I::Item) + Sync,
 {
+    for_each_with(workers, items, || (), |_, item| f(item));
+}
+
+/// [`for_each`] with per-worker state: each worker thread calls `init` once,
+/// before it pulls its first item, and hands `f` a `&mut` to that state for
+/// every item it runs. The state never leaves its thread, so it need not be
+/// `Send`. A panic in `init` is re-raised like one in `f`.
+pub fn for_each_with<I, S, N, F>(workers: usize, items: I, init: N, f: F)
+where
+    I: Iterator + Send,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, I::Item) + Sync,
+{
     let workers = workers.max(1);
     let source = Mutex::new(items);
     let stop = AtomicBool::new(false);
@@ -50,7 +67,7 @@ where
             .map(|i| {
                 std::thread::Builder::new()
                     .name(format!("sibylfs-pool-{i}"))
-                    .spawn_scoped(scope, || work(&source, &stop, &f))
+                    .spawn_scoped(scope, || work(&source, &stop, &init, &f))
                     .unwrap_or_else(|e| panic!("failed to spawn pool worker: {e}"))
             })
             .collect();
@@ -63,20 +80,29 @@ where
     }
 }
 
-fn work<I: Iterator, F: Fn(I::Item)>(source: &Mutex<I>, stop: &AtomicBool, f: &F) {
-    while !stop.load(Relaxed) {
-        let Some(item) = lock(source).next() else { return };
-        let started = Instant::now();
-        let span = obs::span("pool", "pool_job");
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(item))) {
-            // Stop the other workers pulling, so the caller re-raises soon.
-            stop.store(true, Relaxed);
-            resume_unwind(payload);
+fn work<I, S, N, F>(source: &Mutex<I>, stop: &AtomicBool, init: &N, f: &F)
+where
+    I: Iterator,
+    N: Fn() -> S,
+    F: Fn(&mut S, I::Item),
+{
+    let run = || {
+        let mut state = init();
+        while !stop.load(Relaxed) {
+            let Some(item) = lock(source).next() else { return };
+            let started = Instant::now();
+            let span = obs::span("pool", "pool_job");
+            f(&mut state, item);
+            drop(span);
+            let busy = started.elapsed();
+            obs::m::POOL_JOB_RUN_NS.record_duration(busy);
+            obs::m::POOL_BUSY_NS_TOTAL.add(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
         }
-        drop(span);
-        let busy = started.elapsed();
-        obs::m::POOL_JOB_RUN_NS.record_duration(busy);
-        obs::m::POOL_BUSY_NS_TOTAL.add(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
+    };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+        // Stop the other workers pulling, so the caller re-raises soon.
+        stop.store(true, Relaxed);
+        resume_unwind(payload);
     }
 }
 
@@ -88,17 +114,29 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    map_with(workers, items, || (), |_, item| f(item))
+}
+
+/// [`map`] with per-worker state, made by `init` once per worker thread as
+/// in [`for_each_with`].
+pub fn map_with<T, R, S, N, F>(workers: usize, items: &[T], init: N, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     obs::m::POOL_JOBS_TOTAL.add(items.len() as u64);
-    for_each(workers.min(items.len()), 0..items.len(), |i| {
-        let r = f(&items[i]);
+    for_each_with(workers.min(items.len()), 0..items.len(), init, |state, i| {
+        let r = f(state, &items[i]);
         *lock(&slots[i]) = Some(r);
     });
     slots
         .into_iter()
         .map(|slot| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(r) => r,
-            // for_each returns normally only after every index ran.
+            // for_each_with returns normally only after every index ran.
             None => unreachable!("every slot is filled"),
         })
         .collect()
@@ -203,6 +241,62 @@ mod tests {
             assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(map(4, &[] as &[u64], |&i| i).is_empty());
+    }
+
+    #[test]
+    fn map_with_keeps_one_state_per_worker_thread() {
+        let _serial = lock(&SERIAL);
+        let items: Vec<u64> = (0..300).collect();
+        for workers in [1, 3, 8] {
+            let inits = Mutex::new(Vec::new());
+            let out = map_with(
+                workers,
+                &items,
+                || {
+                    let owner = std::thread::current().id();
+                    lock(&inits).push(owner);
+                    owner
+                },
+                |owner, &i| {
+                    let me = std::thread::current().id();
+                    assert_eq!(*owner, me, "a worker's state crossed threads");
+                    // Skewed costs, so workers finish out of order.
+                    if i % 7 == 0 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    (i * i, me)
+                },
+            );
+            let inits = inits.into_inner().unwrap();
+            assert_eq!(inits.len(), workers, "init runs once per worker thread");
+            let owners: std::collections::HashSet<_> = inits.iter().collect();
+            assert_eq!(owners.len(), workers, "every worker makes its own state");
+            assert!(out.iter().all(|(_, t)| inits.contains(t)), "items ran off the pool");
+            let squares: Vec<u64> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        }
+
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            map_with(3, &items, || -> u64 { panic!("init fails") }, |_, &i| i)
+        }));
+        let payload = caught.expect_err("a panic in init reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"init fails"));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            map_with(
+                3,
+                &items,
+                || 0u64,
+                |n, &i| {
+                    *n += 1;
+                    if i == 40 {
+                        panic!("f fails");
+                    }
+                    i
+                },
+            )
+        }));
+        let payload = caught.expect_err("a panic in f reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"f fails"));
     }
 
     #[test]

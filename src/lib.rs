@@ -60,6 +60,7 @@ pub use sibylfs_testgen as testgen;
 pub mod prelude {
     pub use sibylfs_check::{
         check_trace, check_traces_parallel, render_checked_trace, CheckOptions, CheckedTrace,
+        Checker,
     };
     pub use sibylfs_core::prelude::*;
     pub use sibylfs_exec::{execute_script, execute_suite, ExecOptions};
