@@ -11,13 +11,14 @@
 //!   should be small).
 //! * `host/*` — the chroot-jailed real-kernel backend (skipped with a note
 //!   when the sandbox is unavailable; run as root). `host/cold_fork` is the
-//!   pre-pool baseline: one fork + chroot + sandbox build/teardown per
-//!   script. `host/pooled/{1,2,4,8}` execute on persistent pre-jailed
-//!   workers that reset the jail between scripts, so the win is the
-//!   eliminated per-script setup — it shows up even on one core.
+//!   no-reuse baseline: a fresh single-worker pool per script, so every
+//!   script pays one fork + chroot + sandbox build/teardown.
+//!   `host/pooled/{1,2,4,8}` execute on persistent pre-jailed workers that
+//!   reset the jail between scripts, so the win is the eliminated per-script
+//!   setup — it shows up even on one core.
 //!
 //! Host rows run a reduced prefix of the suite: eleven timed loops of 400
-//! cold forks would dominate bench wall clock without changing the ratio.
+//! forks would dominate bench wall clock without changing the ratio.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -74,9 +75,13 @@ fn host_rows(group: &mut criterion::BenchmarkGroup<'_>, suite: &[sibylfs_script:
     let host_suite = &suite[..suite.len().min(HOST_SUITE_LEN)];
     group.throughput(Throughput::Elements(host_suite.len() as u64));
 
-    let cold = HostFs::new();
     group.bench_function("host/cold_fork", |b| {
-        b.iter(|| execute_suite_on(&cold, host_suite, ExecOptions::default()).unwrap().len())
+        b.iter(|| {
+            for s in host_suite {
+                HostFs::pooled(1).execute_script(s, ExecOptions::default()).unwrap();
+            }
+            host_suite.len()
+        })
     });
 
     for &w in WORKER_COUNTS {

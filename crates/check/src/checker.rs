@@ -19,8 +19,6 @@
 //! against, and how many `CheckedStep`s and `Deviation`s the trace had
 //! recorded by then, so the prefix's verdicts are reused without rerunning.
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel};
 use sibylfs_core::coverage::{self, CoverageKey, CoverageMap};
 use sibylfs_core::flavor::SpecConfig;
@@ -35,7 +33,7 @@ use sibylfs_core::types::{Pid, INITIAL_PID};
 use sibylfs_script::Trace;
 
 /// Options controlling a checking run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOptions {
     /// Whether the initial process is assumed to run with root privileges
     /// (must match how the trace was produced).
@@ -57,7 +55,7 @@ impl Default for CheckOptions {
 /// The label a checked step corresponds to, kept structurally: the checker's
 /// inner loop no longer renders labels to text (that cost is paid only at the
 /// output boundary, via `Display`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepLabel {
     /// A label observed in the trace.
     Observed(OsLabel),
@@ -77,7 +75,7 @@ impl std::fmt::Display for StepLabel {
 
 /// The kind of label a checked step corresponds to, recorded structurally so
 /// consumers never have to parse the rendered label text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepKind {
     /// An `OS_CALL` label.
     Call,
@@ -107,7 +105,7 @@ impl StepKind {
 }
 
 /// The verdict on a single trace step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepVerdict {
     /// The step is allowed by the model.
     Ok,
@@ -132,7 +130,7 @@ pub enum StepVerdict {
 }
 
 /// A checked trace step: the original label plus the verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedStep {
     /// Line number in the original trace.
     pub lineno: usize,
@@ -149,7 +147,7 @@ pub struct CheckedStep {
 
 /// A deviation record extracted from a checked trace, used by the survey and
 /// acceptance reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deviation {
     /// Line number of the offending return in the trace.
     pub lineno: usize,
@@ -164,7 +162,7 @@ pub struct Deviation {
 }
 
 /// The result of checking one trace against the model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedTrace {
     /// The script/trace name.
     pub name: String,

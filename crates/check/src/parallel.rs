@@ -6,8 +6,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::flavor::SpecConfig;
 use sibylfs_core::pool;
 use sibylfs_script::Trace;
@@ -16,7 +14,7 @@ use crate::checker::{CheckOptions, CheckedTrace, Checker};
 
 /// Aggregate statistics for a suite-checking run (reported by §7.1/§7.2
 /// experiments).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SuiteCheckStats {
     /// Number of traces checked.
     pub traces: usize,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::errno::Errno;
 use crate::flags::{FileMode, OpenFlags, SeekWhence};
 use crate::path::ParsedPath;
@@ -17,7 +15,7 @@ use crate::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid};
 
 /// A single libc file-system call together with its arguments
 /// (the `ty_os_command` of the Lem model).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OsCommand {
     /// `chdir(path)`
     Chdir(ParsedPath),
@@ -183,7 +181,7 @@ impl fmt::Display for OsCommand {
 /// Device and inode numbers are implementation details and are not part of
 /// the abstract state; timestamps are tracked separately by the timestamps
 /// trait and are not compared by default (§1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Stat {
     /// The kind of object (regular file, directory, symlink).
     pub kind: FileKind,
@@ -210,7 +208,7 @@ impl fmt::Display for Stat {
 }
 
 /// A successful return value from a libc call.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RetValue {
     /// The call succeeded and returns nothing of interest (`RV_none`).
     None,
@@ -248,7 +246,7 @@ impl fmt::Display for RetValue {
 
 /// Either an error or a successful return value: what an `OS_RETURN` label
 /// carries back to the calling process.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorOrValue {
     /// The call failed with the given errno.
     Error(Errno),
@@ -287,7 +285,7 @@ impl fmt::Display for ErrorOrValue {
 
 /// A label of the SibylFS labelled transition system (the `os_label` type of
 /// the Lem model, §5).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OsLabel {
     /// Process `pid` invokes a libc call.
     Call(Pid, OsCommand),

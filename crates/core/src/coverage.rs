@@ -18,8 +18,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::commands::{ErrorOrValue, RetValue};
 use crate::pool::lock;
 
@@ -188,7 +186,7 @@ impl CoverageSummary {
 /// outcome/errno) transitions actually observed in traces, plus the
 /// nondeterministic branch ids of the specification itself (the `spec_point`
 /// names, which are exactly the model's behavioural branches).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CoverageKey {
     /// A specification branch evaluated while checking (`spec_point` name).
     Branch(String),
@@ -225,7 +223,7 @@ pub fn outcome_name(ret: &ErrorOrValue) -> String {
 
 /// A cheap, mergeable, serializable set of [`CoverageKey`]s — the feedback
 /// signal of the exploration engine.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoverageMap {
     keys: BTreeSet<CoverageKey>,
 }

@@ -8,10 +8,8 @@ use std::fmt;
 use std::ops::{BitAnd, BitOr, Not};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// File access mode requested by `open`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessMode {
     /// `O_RDONLY`
     ReadOnly,
@@ -37,9 +35,7 @@ impl AccessMode {
 ///
 /// Internally a bitset; the individual bit values are private and only the
 /// named constants below should be used.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpenFlags(u32);
 
 impl OpenFlags {
@@ -181,9 +177,7 @@ impl FromStr for OpenFlags {
 
 /// File permission bits (the low 12 bits of a `mode_t`, including setuid,
 /// setgid, and the sticky bit).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FileMode(pub u32);
 
 impl FileMode {
@@ -284,7 +278,7 @@ impl FromStr for FileMode {
 }
 
 /// The `whence` argument of `lseek`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SeekWhence {
     /// `SEEK_SET`: offset is absolute.
     Set,

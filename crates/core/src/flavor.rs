@@ -8,13 +8,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::errno::Errno;
 use crate::flags::FileMode;
 
 /// The platform whose behaviour the model describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Flavor {
     /// The POSIX envelope: the union of behaviour the standard allows.
     Posix,
@@ -152,7 +150,7 @@ impl Flavor {
 }
 
 /// How `link` treats a symlink source (see [`Flavor::link_follows_symlink`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSymlinkBehavior {
     /// The new name becomes a hard link to the symlink itself (Linux).
     LinkSymlink,
@@ -203,7 +201,7 @@ impl FromStr for Flavor {
 /// unchanged, but the tracked state count for concurrent traces drops from
 /// factorial to near-linear. `Off` enumerates every interleaving, exactly as
 /// the paper's checker does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PorMode {
     /// Enumerate every interleaving of in-flight calls.
     Off,
@@ -229,7 +227,7 @@ impl FromStr for PorMode {
 /// checking parameters described in §2 ("various flags control further
 /// checking parameters, such as whether the initial process runs with root
 /// privileges").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecConfig {
     /// Which platform variant of the model to use.
     pub flavor: Flavor,

@@ -32,8 +32,6 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fxhash::FxHasher64;
 
 /// An interned string: a dense `u32` symbol.
@@ -45,12 +43,10 @@ use crate::fxhash::FxHasher64;
 /// lexicographic order (dirent listings, diagnostics) sorts by
 /// [`Name::as_str`] at the output boundary.
 ///
-/// **Serde caveat**: the derives below are the workspace's no-op stub
-/// markers. When real serde is wired in, `Name` MUST get a custom impl
-/// serializing its string content (`as_str`) and deserializing via `intern`
-/// — raw ids are interning-order-dependent and must never cross the process
-/// boundary (DESIGN_INTERN.md, invariant 2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+/// Raw ids are interning-order-dependent and must never cross the process
+/// boundary (DESIGN_INTERN.md, invariant 2): anything leaving the process
+/// carries the string (`as_str`) and comes back through `intern`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Name(u32);
 
 const SHARD_COUNT: usize = 16;

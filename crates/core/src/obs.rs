@@ -357,7 +357,6 @@ registry! {
 
     // Pooled host workers.
     Counter EXEC_JAIL_RESETS_TOTAL => "sibylfs_exec_jail_resets_total";
-    Counter EXEC_COLD_FORKS_TOTAL => "sibylfs_exec_cold_forks_total";
     Counter EXEC_WORKER_RESPAWNS_TOTAL => "sibylfs_exec_worker_respawns_total";
 
     // Observability itself.

@@ -12,8 +12,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::commands::{OsCommand, RetValue, Stat};
 use crate::errno::Errno;
 use crate::flags::{FileMode, OpenFlags};
@@ -25,7 +23,7 @@ use crate::types::{DirHandleId, Fd, Fid, Gid, Pid, Uid};
 
 /// What an open file description refers to: `open` can open directories as
 /// well as regular files (reads on a directory descriptor then fail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FidTarget {
     /// A regular file or symlink object.
     File(FileRef),
@@ -34,7 +32,7 @@ pub enum FidTarget {
 }
 
 /// An OS-level open file description (the `fid_state` of the Lem model).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FidState {
     /// The object the description refers to.
     pub target: FidTarget,
@@ -62,7 +60,7 @@ impl FidState {
 /// or may not be returned (they were added or removed while the handle was
 /// open); `returned` records what has already been handed out so nothing is
 /// returned twice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DirHandleState {
     /// The directory being listed.
     pub dir: DirRef,
@@ -123,7 +121,7 @@ impl DirHandleState {
 }
 
 /// POSIX "special" behaviour classes (§1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpecialKind {
     /// Undefined behaviour: the arguments were invalid according to POSIX.
     Undefined,
@@ -135,7 +133,7 @@ pub enum SpecialKind {
 }
 
 /// How a pending write applies its data when the observed byte count arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteAt {
     /// Write at the given offset and advance the descriptor offset past the
     /// written bytes (plain `write`).
@@ -161,7 +159,7 @@ pub enum WriteAt {
 /// branches either carry an exact value or a constrained family of values
 /// (short reads/writes, readdir entries, newly allocated descriptors) that is
 /// resolved when the real system's choice is observed — the strategy of §3.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pending {
     /// The call must fail with one of these errors.
     Errors(BTreeSet<Errno>),
@@ -219,7 +217,7 @@ pub enum Pending {
 }
 
 /// The run state of a process.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ProcRunState {
     /// The process is not in a libc call.
     Ready,
@@ -232,7 +230,7 @@ pub enum ProcRunState {
 
 /// Per-process state tracked by the operating system
 /// (the `per_process_state` of the Lem model).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PerProcessState {
     /// Current working directory.
     pub cwd: DirRef,
@@ -315,7 +313,7 @@ impl std::fmt::Debug for FingerprintCell {
 /// [`Arc`]s with copy-on-write mutation (`Arc::make_mut`): a clone shares all
 /// unmodified structure and only the pieces a branch actually touches are
 /// copied.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OsState {
     /// Directory structure and file contents.
     pub heap: DirHeap,

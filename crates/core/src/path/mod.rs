@@ -24,8 +24,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coverage::spec_point;
 use crate::errno::Errno;
 use crate::intern::Name;
@@ -67,12 +65,10 @@ impl NameList {
 /// inline; longer lists sit behind an `Arc`. Either way, cloning a command
 /// that carries a path never allocates.
 ///
-/// **Serde caveat**: the derives below are the workspace's no-op stub
-/// markers. When real serde is wired in, this type MUST get a custom impl
-/// serializing `as_str()` text and deserializing via `parse` — symbol ids
-/// are interning-order-dependent and must never cross the process boundary
-/// (DESIGN_INTERN.md, invariant 2).
-#[derive(Clone, Serialize, Deserialize)]
+/// Symbol ids are interning-order-dependent and must never cross the
+/// process boundary (DESIGN_INTERN.md, invariant 2): anything leaving the
+/// process carries the `as_str()` text and comes back through `parse`.
+#[derive(Clone)]
 pub struct ParsedPath {
     /// The original string, interned whole (for printing and `readlink`).
     raw: Name,
@@ -365,7 +361,7 @@ impl std::fmt::Debug for ParsedPath {
 }
 
 /// The result of path resolution (the `res_name` type of the Lem model).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResName {
     /// The path resolved to a directory.
     Dir {

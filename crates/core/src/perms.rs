@@ -8,14 +8,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::flags::FileMode;
 use crate::state::Meta;
 use crate::types::{Gid, Uid, ROOT_UID};
 
 /// The access being requested on an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// Read access.
     Read,
@@ -26,7 +24,7 @@ pub enum Access {
 }
 
 /// The credentials a process presents when accessing the file system.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Creds {
     /// Effective user id.
     pub euid: Uid,
@@ -61,7 +59,7 @@ impl Creds {
 
 /// The system-wide group table: which users belong to which groups
 /// (the `oss_group_table` of the Lem model).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct GroupTable {
     members: BTreeMap<Gid, BTreeSet<Uid>>,
 }

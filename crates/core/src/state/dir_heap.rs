@@ -14,8 +14,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flags::FileMode;
 use crate::fxhash::FxHasher64;
 use crate::intern::Name;
@@ -24,19 +22,15 @@ use crate::state::meta::Meta;
 use crate::types::{FileKind, Gid, Uid};
 
 /// An abstract reference to a directory (the `'dir_ref` of the Lem model).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DirRef(pub u64);
 
 /// An abstract reference to a non-directory file (regular file or symlink).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FileRef(pub u64);
 
 /// A directory entry: either a subdirectory or a (regular or symlink) file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Entry {
     /// A subdirectory.
     Dir(DirRef),
@@ -52,7 +46,7 @@ impl Entry {
 }
 
 /// The content of a non-directory file.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FileContent {
     /// A regular file with byte contents.
     Regular(Vec<u8>),
@@ -123,7 +117,7 @@ impl std::fmt::Debug for HashCell {
 }
 
 /// A directory object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dir {
     /// Named entries (excluding the implicit `.` and `..`), keyed by interned
     /// name symbol. The `BTreeMap` ordering is the symbols' `u32` order —
@@ -200,7 +194,7 @@ impl Hash for Dir {
 }
 
 /// A non-directory file object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct File {
     /// Regular data or symlink target.
     pub content: FileContent,
@@ -276,7 +270,7 @@ impl Hash for File {
 /// `Arc::make_mut` so a branch that modifies one directory copies only the
 /// map spine and that directory — every other object (in particular full
 /// regular-file contents) stays shared with the sibling branches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirHeap {
     dirs: Arc<BTreeMap<u64, Arc<Dir>>>,
     files: Arc<BTreeMap<u64, Arc<File>>>,

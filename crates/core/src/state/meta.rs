@@ -1,7 +1,5 @@
 //! Per-object metadata: ownership, permission bits and timestamps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flags::FileMode;
 use crate::types::{Gid, Uid};
 
@@ -12,9 +10,7 @@ use crate::types::{Gid, Uid};
 /// timestamps record the clock value at which the corresponding update
 /// happened. The timestamps *trait* decides whether these values are ever
 /// compared against observations (they are not by default, §1.2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamps {
     /// Last access time.
     pub atime: u64,
@@ -48,7 +44,7 @@ impl Timestamps {
 }
 
 /// Metadata attached to every file and directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Meta {
     /// Permission bits.
     pub mode: FileMode,

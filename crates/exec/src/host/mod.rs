@@ -1,12 +1,14 @@
 //! Real-host POSIX execution backend (Linux only).
 //!
 //! This is the reproduction's equivalent of the paper's test executor (§6.2):
-//! each script runs in a *forked worker process* that chroots into a fresh
-//! per-script temporary directory, so every execution starts from an empty
-//! file-system namespace and absolute paths (including symlink targets) stay
-//! inside the jail. The worker issues genuine libc calls with the script's
-//! flags and modes, maps raw errnos back through [`sibylfs_core::errno`], and
-//! streams the rendered trace back to the parent over a pipe.
+//! scripts run in *forked worker processes*, each chrooted into its own
+//! temporary directory, so absolute paths (including symlink targets) stay
+//! inside the jail. A worker is forked together with the first script it
+//! runs and empties its jail between scripts (the reset contract in
+//! `host/pool.rs`), so every execution starts from an empty file-system
+//! namespace. The worker issues genuine libc calls with the script's flags
+//! and modes, maps raw errnos back through [`sibylfs_core::errno`], and sends
+//! the rendered trace back to the parent over a pipe.
 //!
 //! ## Sandboxing and privilege
 //!
@@ -16,7 +18,7 @@
 //! wants to run as root, exactly like the paper's harness. Unprivileged runs
 //! report [`ExecError::SandboxUnavailable`] and callers (the differential
 //! test, the survey) skip the host rows gracefully. [`sandbox_available`]
-//! probes this once per process with a throwaway fork+chroot.
+//! probes this once per process by forking a worker with an empty script.
 //!
 //! Inside the jail, the worker emulates the *per-virtual-process* state the
 //! model tracks — working directory (a saved `O_PATH` descriptor, restored
@@ -46,29 +48,28 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue, Stat};
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flags::{FileMode, OpenFlags, SeekWhence};
 use sibylfs_core::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid, INITIAL_PID};
-use sibylfs_script::{parse_trace, render_trace, Script, ScriptStep, Trace};
+use sibylfs_script::{Script, ScriptStep, Trace};
 
 use crate::{ExecError, ExecOptions, Executor};
 
 // The backend is split across three modules:
 //
 // * this one — the raw libc bindings, the jail-side `HostWorld` call
-//   dispatcher, and the original cold-fork execution path (one fork+chroot
-//   per script, also the pool's fallback);
-// * [`protocol`] — the length-prefixed pipe frames a persistent worker
-//   speaks to its parent;
-// * [`pool`] — the persistent pre-jailed worker pool: fork+chroot once per
-//   worker, reset the jail between scripts.
+//   dispatcher, and the `HostFs` executor;
+// * [`protocol`] — the length-prefixed pipe frames a worker speaks to its
+//   parent;
+// * [`pool`] — the worker processes: fork+chroot once per worker (together
+//   with its first script), reset the jail between scripts.
 mod pool;
 mod protocol;
 
-pub use pool::WorkerPool;
+use pool::WorkerPool;
 
 /// Raw libc bindings. The workspace is offline (no `libc` crate), so the
 /// handful of symbols the backend needs are declared inline; all are part of
@@ -777,16 +778,11 @@ unsafe fn c_str_bytes(name: &[std::os::raw::c_char; 256]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(ptr, len) }
 }
 
-/// Worker exit codes (beyond the trace payload on the pipe).
-const EXIT_OK: i32 = 0;
-const EXIT_SANDBOX: i32 = 3;
-
 /// Execute every step of `script` inside the already-chrooted jail and
 /// return the observed trace. All virtual processes are destroyed before
 /// returning, so every descriptor and `DIR*` the script opened is closed —
-/// a persistent pool worker relies on this as the first half of its
-/// between-scripts hygiene (the second half is the jail reset in
-/// [`pool`]).
+/// a worker relies on this as the first half of its between-scripts
+/// hygiene (the second half is the jail reset in [`pool`]).
 fn run_script_in_jail(script: &Script, opts: ExecOptions) -> Trace {
     let mut world = HostWorld::new();
     let (uid, gid) = if opts.root_user { (Uid(0), Gid(0)) } else { (Uid(1000), Gid(1000)) };
@@ -816,99 +812,11 @@ fn run_script_in_jail(script: &Script, opts: ExecOptions) -> Trace {
     trace
 }
 
-/// Run the script inside the already-forked worker: build the jail, execute
-/// every step, stream the rendered trace to `out_fd`, and `_exit`. Never
-/// returns.
-fn worker_main(root: &[u8], script: &Script, opts: ExecOptions, out_fd: i32) -> ! {
-    // SAFETY: runs only in the freshly-forked single-threaded worker.
-    // `close_range` takes integers; `root` is NUL-terminated by the caller;
-    // the `c"…"` literals are NUL-terminated by construction; `msg` is a live
-    // buffer for the duration of the failed-sandbox write; `_exit` never
-    // returns and skips atexit handlers, which is exactly what a forked
-    // worker that must not run the parent's destructors wants.
-    unsafe {
-        // Drop every inherited descriptor except stdio and our pipe: a
-        // concurrently-forking sibling's pipe write-end held open here would
-        // keep that sibling's parent from ever seeing EOF. Best effort —
-        // close_range is glibc ≥ 2.34 / kernel ≥ 5.9.
-        if out_fd > 3 {
-            raw::close_range(3, out_fd as u32 - 1, 0);
-        }
-        raw::close_range(out_fd as u32 + 1, u32::MAX, 0);
-        if raw::chdir(root.as_ptr().cast()) != 0
-            || raw::chroot(c".".as_ptr().cast()) != 0
-            || raw::chdir(c"/".as_ptr().cast()) != 0
-        {
-            let msg = format!("!sandbox errno={}\n", errno_raw());
-            write_all(out_fd, msg.as_bytes());
-            raw::_exit(EXIT_SANDBOX);
-        }
-        raw::umask(0o022);
-    }
-
-    let trace = run_script_in_jail(script, opts);
-    let rendered = render_trace(&trace);
-    write_all(out_fd, rendered.as_bytes());
-    // SAFETY: terminating the worker without unwinding into the parent's
-    // state is the whole point; `_exit` takes an integer and never returns.
-    unsafe { raw::_exit(EXIT_OK) }
-}
-
-fn write_all(fd: i32, mut buf: &[u8]) {
-    while !buf.is_empty() {
-        // SAFETY: `buf` is a live slice of `buf.len()` readable bytes.
-        let n = unsafe { raw::write(fd, buf.as_ptr().cast(), buf.len()) };
-        if n <= 0 {
-            return;
-        }
-        buf = &buf[n as usize..];
-    }
-}
-
 /// Whether the worker sandbox can be built here: probed once per process by
-/// forking a throwaway worker that attempts the chroot.
+/// forking a worker with an empty script and reaping it.
 pub fn sandbox_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        let Ok(dir) = fresh_sandbox_dir() else { return false };
-        let mut ok = false;
-        let mut root = dir.as_os_str().as_encoded_bytes().to_vec();
-        root.push(0);
-        // SAFETY: `root` is NUL-terminated; the child branch calls only
-        // async-signal-safe functions (`chdir`/`chroot`/`_exit`) before
-        // exiting, and the parent branch passes a valid `&mut status` to
-        // `waitpid`.
-        unsafe {
-            let pid = raw::fork();
-            if pid == 0 {
-                let rc = if raw::chdir(root.as_ptr().cast()) == 0
-                    && raw::chroot(c".".as_ptr().cast()) == 0
-                {
-                    EXIT_OK
-                } else {
-                    EXIT_SANDBOX
-                };
-                raw::_exit(rc);
-            }
-            if pid > 0 {
-                let mut status = 0;
-                raw::waitpid(pid, &mut status, 0);
-                ok = exit_code(status) == Some(EXIT_OK);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        ok
-    })
-}
-
-/// Decode a `waitpid` status into an exit code, if the child exited normally.
-fn exit_code(status: i32) -> Option<i32> {
-    // WIFEXITED / WEXITSTATUS.
-    if status & 0x7f == 0 {
-        Some((status >> 8) & 0xff)
-    } else {
-        None
-    }
+    *AVAILABLE.get_or_init(pool::probe)
 }
 
 static SANDBOX_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -947,44 +855,27 @@ fn fresh_sandbox_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// The real-host executor, in one of two modes:
-///
-/// * **cold-fork** ([`HostFs::new`]) — stateless; every
-///   [`Executor::execute_script`] call forks a fresh worker and builds a
-///   fresh chroot jail (the original, and the baseline the `exec_pipeline`
-///   bench measures against);
-/// * **pooled** ([`HostFs::pooled`]) — a shared [`WorkerPool`] of persistent
-///   pre-jailed workers; each script is one round-trip over a pipe to an
-///   already-chrooted worker that resets its jail between scripts. Workers
-///   are spawned lazily, and a dead or corrupt worker triggers a cold-fork
-///   fallback for that script plus a respawn for the next.
+/// The real-host executor: a shared pool of persistent pre-jailed worker
+/// processes. Each script is one round trip over a pipe to a chrooted worker
+/// that resets its jail between scripts. When no worker is idle and the pool
+/// is under capacity, a new one is forked together with the script. A worker
+/// that dies or breaks protocol is discarded and the script runs once more
+/// on another worker.
 ///
 /// Cloning shares the pool, and calls from many threads each check out their
 /// own worker process concurrently.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HostFs {
-    pool: Option<std::sync::Arc<WorkerPool>>,
+    pool: Arc<WorkerPool>,
 }
 
 impl HostFs {
-    /// Create the cold-fork host backend handle (fresh fork+chroot per
-    /// script).
-    pub fn new() -> HostFs {
-        HostFs::default()
-    }
-
     /// Create a host backend over a pool of `workers` persistent pre-jailed
-    /// worker processes (clamped to at least 1). Workers are spawned on
-    /// first use, so construction succeeds even where the sandbox is
-    /// unavailable — the first execution reports
-    /// [`ExecError::SandboxUnavailable`] just like the cold-fork mode.
+    /// worker processes (clamped to at least 1). Workers are forked on first
+    /// use, so construction succeeds even where the sandbox is unavailable;
+    /// executions then report [`ExecError::SandboxUnavailable`].
     pub fn pooled(workers: usize) -> HostFs {
-        HostFs { pool: Some(std::sync::Arc::new(WorkerPool::new(workers))) }
-    }
-
-    /// Whether this handle runs on the persistent worker pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
+        HostFs { pool: Arc::new(WorkerPool::new(workers)) }
     }
 
     /// Whether this backend can run here (see [`sandbox_available`]).
@@ -1004,105 +895,13 @@ impl Executor for HostFs {
 
     fn execute_script(&self, script: &Script, opts: ExecOptions) -> Result<Trace, ExecError> {
         let started = std::time::Instant::now();
-        let res = match &self.pool {
-            Some(pool) => pool.execute(script, opts),
-            None => cold_execute(script, opts),
-        };
+        let res = self.pool.execute(script, opts);
         if res.is_ok() {
             sibylfs_core::obs::m::EXEC_SCRIPTS_TOTAL.inc();
             sibylfs_core::obs::m::EXEC_SCRIPT_NS.record_duration(started.elapsed());
         }
         res
     }
-}
-
-/// Execute one script the original way: fork a throwaway worker, build a
-/// fresh chroot jail, stream the trace back, tear everything down. Also the
-/// pool's per-script fallback when a persistent worker dies.
-pub(super) fn cold_execute(script: &Script, opts: ExecOptions) -> Result<Trace, ExecError> {
-    sibylfs_core::obs::m::EXEC_COLD_FORKS_TOTAL.inc();
-    let backend_err = |message: String| ExecError::Backend {
-        script: script.name.clone(),
-        message,
-    };
-    let dir = fresh_sandbox_dir().map_err(|e| backend_err(format!("sandbox dir: {e}")))?;
-    let mut root = dir.as_os_str().as_encoded_bytes().to_vec();
-    root.push(0);
-
-    let mut pipe_fds = [0i32; 2];
-    // SAFETY: `pipe_fds` is a live array of exactly the two c_ints the
-    // kernel writes.
-    if unsafe { raw::pipe(pipe_fds.as_mut_ptr()) } != 0 {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(backend_err(format!("pipe: errno {}", errno_raw())));
-    }
-    let (rd, wr) = (pipe_fds[0], pipe_fds[1]);
-
-    // SAFETY: integer-only FFI call; the child branch immediately enters
-    // `worker_main`, which uses only fork-safe operations before `_exit`.
-    let child = unsafe { raw::fork() };
-    if child < 0 {
-        // SAFETY: both pipe ends were just created and are owned here.
-        unsafe {
-            raw::close(rd);
-            raw::close(wr);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(backend_err(format!("fork: errno {}", errno_raw())));
-    }
-    if child == 0 {
-        // SAFETY: the worker owns its copy of the read end; closing it
-        // once here leaves only `wr` for the trace stream.
-        unsafe { raw::close(rd) };
-        worker_main(&root, script, opts, wr);
-    }
-
-    // Parent: collect the rendered trace, reap the worker, tear down the
-    // jail.
-    // SAFETY: the parent owns its copy of the write end and closes it
-    // exactly once, so the pipe reports EOF when the worker exits.
-    unsafe { raw::close(wr) };
-    let mut output = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        // SAFETY: `buf` is a live array of `buf.len()` writable bytes.
-        let n = unsafe { raw::read(rd, buf.as_mut_ptr().cast(), buf.len()) };
-        if n <= 0 {
-            break;
-        }
-        output.extend_from_slice(&buf[..n as usize]);
-    }
-    // SAFETY: `rd` is owned here and closed exactly once; `waitpid`
-    // writes through a valid `&mut status`.
-    unsafe { raw::close(rd) };
-    let mut status = 0;
-    unsafe { raw::waitpid(child, &mut status, 0) };
-    let _ = std::fs::remove_dir_all(&dir);
-
-    match exit_code(status) {
-        Some(EXIT_OK) => {}
-        Some(EXIT_SANDBOX) => {
-            return Err(ExecError::SandboxUnavailable(format!(
-                "worker could not chroot ({})",
-                String::from_utf8_lossy(&output).trim()
-            )));
-        }
-        other => {
-            return Err(backend_err(format!(
-                "worker died (exit {:?}, wait status {status})",
-                other
-            )));
-        }
-    }
-
-    let text = String::from_utf8_lossy(&output);
-    let mut trace = parse_trace(&text)
-        .map_err(|e| backend_err(format!("worker trace unparseable: {e}")))?;
-    // The on-disk format re-derives the group from the name; pin both to
-    // the script's own values.
-    trace.name = script.name.clone();
-    trace.group = script.group.clone();
-    Ok(trace)
 }
 
 #[cfg(test)]
@@ -1112,7 +911,7 @@ mod tests {
 
     fn host_or_skip() -> Option<HostFs> {
         if HostFs::available() {
-            Some(HostFs::new())
+            Some(HostFs::pooled(1))
         } else {
             eprintln!("skipping: host sandbox unavailable (need chroot privilege)");
             None

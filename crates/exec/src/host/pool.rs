@@ -1,11 +1,12 @@
-//! A pool of persistent pre-jailed host worker processes.
+//! The host backend's worker processes: a pool of persistent pre-jailed
+//! workers, and the one place a worker is forked.
 //!
-//! The cold-fork path pays fork + chroot + tempdir creation + teardown for
-//! every script — milliseconds of fixed cost around microseconds of actual
-//! syscalls. A [`WorkerPool`] pays that cost once per worker: each worker is
-//! forked and chrooted at spawn, then serves many scripts over the
-//! [`protocol`](super::protocol) pipes, *resetting its jail between scripts*
-//! instead of being re-forked.
+//! Building a jail costs fork + chroot + tempdir creation + teardown —
+//! milliseconds of fixed cost around microseconds of actual syscalls. A
+//! [`WorkerPool`] pays that cost once per worker: each worker is forked with
+//! the script that needed it, chroots, runs that script, and then serves
+//! further scripts over the [`protocol`](super::protocol) pipes, *resetting
+//! its jail between scripts* instead of being re-forked.
 //!
 //! ## The jail-reset contract
 //!
@@ -26,12 +27,12 @@
 //!    script's fds and `DIR*` handles; this is the backstop).
 //!
 //! A worker that cannot complete the reset `_exit`s rather than serve a
-//! dirty jail; the parent notices EOF on the next request, falls back to a
-//! **cold fork** for that script (`sibylfs_exec_cold_forks_total` counts
-//! these), and spawns a replacement worker
-//! (`sibylfs_exec_worker_respawns_total`). Successful per-script resets are
-//! counted by `sibylfs_exec_jail_resets_total`.
+//! dirty jail. The parent notices EOF on the next request, discards the
+//! worker (`sibylfs_exec_worker_respawns_total`), and runs the script once
+//! more on another worker — forked with it if none is idle. Successful
+//! per-script resets are counted by `sibylfs_exec_jail_resets_total`.
 
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
@@ -41,43 +42,76 @@ use sibylfs_script::{parse_trace, render_trace, Script, Trace};
 
 use super::protocol::{
     decode_exec_request, encode_exec_request, read_frame, write_frame, TAG_ERROR, TAG_EXEC,
-    TAG_READY, TAG_SANDBOX, TAG_TRACE,
+    TAG_SANDBOX, TAG_TRACE,
 };
-use super::{errno_raw, fresh_sandbox_dir, raw, EXIT_OK, EXIT_SANDBOX};
+use super::{errno_raw, fresh_sandbox_dir, raw};
 use crate::{ExecError, ExecOptions};
+
+/// Worker exit codes. The parent never reads them; they only tell someone
+/// tracing a worker a clean shutdown from a worker that could not provide a
+/// clean jail.
+const EXIT_OK: i32 = 0;
+const EXIT_SANDBOX: i32 = 3;
 
 // ---------------------------------------------------------------------------
 // Parent side
 // ---------------------------------------------------------------------------
 
-/// One live worker process, from the parent's point of view.
+/// One live worker process, from the parent's point of view. Dropping it
+/// kills and reaps the process and removes its jail.
 #[derive(Debug)]
 struct Worker {
     pid: i32,
-    /// Parent's write end of the request pipe; closing it is the graceful
-    /// shutdown signal (the worker reads EOF and exits).
-    req_wr: i32,
+    /// Parent's write end of the request pipe.
+    req_wr: OwnedFd,
     /// Parent's read end of the reply pipe.
-    rep_rd: i32,
+    rep_rd: OwnedFd,
     /// The jail root on the parent's side of the chroot.
     dir: PathBuf,
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        // SAFETY: `pid` is a child this process forked and has not yet
+        // reaped (only this drop reaps it); `waitpid` writes through a valid
+        // `&mut status`. The pipe ends close when the fields drop.
+        unsafe {
+            raw::kill(self.pid, raw::SIGKILL);
+            let mut status = 0;
+            raw::waitpid(self.pid, &mut status, 0);
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// What a worker answered for the script it was given.
+enum Reply {
+    /// A trace, or a request-level error; either way the worker stays usable.
+    Served(Result<Trace, ExecError>),
+    /// The worker could not build its jail (`S`, only ever a first reply) and
+    /// has exited without running anything.
+    Sandbox(String),
+    /// The worker died or sent bytes we cannot interpret, so it can no longer
+    /// be trusted.
+    Broken(String),
 }
 
 #[derive(Debug)]
 struct PoolState {
     idle: Vec<Worker>,
-    /// Workers alive (idle + checked out). Bounded by the pool capacity.
+    /// Workers alive (idle + checked out), plus slots reserved for a spawn.
+    /// Bounded by the pool capacity.
     live: usize,
 }
 
 /// A lazy, fixed-capacity pool of persistent pre-jailed workers.
 ///
-/// Workers are spawned on demand up to the capacity; callers needing a
-/// worker when all are busy block until one is returned (or dies). Shared
-/// behind an `Arc` by [`HostFs::pooled`](super::HostFs::pooled), so
-/// concurrent callers each check out their own worker.
+/// Workers are forked on demand up to the capacity; callers needing a worker
+/// when all are busy block until one is returned (or dies). Shared behind an
+/// `Arc` by [`HostFs`](super::HostFs), so concurrent callers each check out
+/// their own worker.
 #[derive(Debug)]
-pub struct WorkerPool {
+pub(super) struct WorkerPool {
     cap: usize,
     state: Mutex<PoolState>,
     available: Condvar,
@@ -86,7 +120,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Create an empty pool with capacity `workers` (clamped to ≥ 1). No
     /// processes are forked until the first execution.
-    pub fn new(workers: usize) -> WorkerPool {
+    pub(super) fn new(workers: usize) -> WorkerPool {
         WorkerPool {
             cap: workers.max(1),
             state: Mutex::new(PoolState { idle: Vec::new(), live: 0 }),
@@ -94,48 +128,74 @@ impl WorkerPool {
         }
     }
 
-    /// Pool capacity (maximum concurrent worker processes).
-    pub fn capacity(&self) -> usize {
-        self.cap
+    /// Execute one script. A worker that dies or breaks protocol is discarded
+    /// and the script runs once more on another worker, so a single worker
+    /// failure costs a fork, not a verdict; if the second worker fails too,
+    /// the error names both diagnoses.
+    pub(super) fn execute(&self, script: &Script, opts: ExecOptions) -> Result<Trace, ExecError> {
+        let first = match self.attempt(script, opts) {
+            Ok(res) => return res,
+            Err(why) => why,
+        };
+        self.attempt(script, opts).unwrap_or_else(|again| {
+            Err(ExecError::Backend {
+                script: script.name.clone(),
+                message: format!("worker failed ({first}), and so did its replacement ({again})"),
+            })
+        })
     }
 
-    /// Execute one script on a pooled worker. A dead or corrupt worker is
-    /// discarded and the script transparently re-runs on a cold fork, so a
-    /// single worker failure costs one fork, not a verdict.
-    pub(super) fn execute(&self, script: &Script, opts: ExecOptions) -> Result<Trace, ExecError> {
-        let worker = self.checkout()?;
-        match run_on(&worker, script, opts) {
-            Ok(res) => {
+    /// Run `script` once: on an idle worker if there is one, otherwise on a
+    /// worker forked with it. The outer `Err` means no trustworthy worker
+    /// answered (it could not be started, died, or broke protocol, and was
+    /// discarded); the inner result is the script's own outcome.
+    fn attempt(
+        &self,
+        script: &Script,
+        opts: ExecOptions,
+    ) -> Result<Result<Trace, ExecError>, String> {
+        let (worker, reply) = match self.checkout() {
+            Some(worker) => {
+                let reply = run_on(&worker, script, opts);
+                (worker, reply)
+            }
+            None => {
+                let worker = spawn_worker(script, opts).inspect_err(|_| self.release())?;
+                let reply = read_reply(&worker, script);
+                (worker, reply)
+            }
+        };
+        match reply {
+            Reply::Served(res) => {
                 // The worker resets its jail after every served script; it
                 // is only returned to the pool on a healthy reply.
                 obs::m::EXEC_JAIL_RESETS_TOTAL.inc();
                 self.checkin(worker);
-                res
+                Ok(res)
             }
-            Err(why) => {
+            Reply::Sandbox(why) => {
+                self.discard(worker);
+                Ok(Err(ExecError::SandboxUnavailable(format!("worker could not chroot ({why})"))))
+            }
+            Reply::Broken(why) => {
                 self.discard(worker);
                 obs::m::EXEC_WORKER_RESPAWNS_TOTAL.inc();
-                let _ = why; // the cold-fork result supersedes the diagnosis
-                super::cold_execute(script, opts)
+                Err(why)
             }
         }
     }
 
-    /// Take an idle worker, spawning one if the pool is under capacity;
-    /// block while all workers are checked out.
-    fn checkout(&self) -> Result<Worker, ExecError> {
+    /// Take an idle worker, or `None` with a slot reserved for the caller to
+    /// fork one into; block while every worker is checked out.
+    fn checkout(&self) -> Option<Worker> {
         let mut st = lock(&self.state);
         loop {
             if let Some(w) = st.idle.pop() {
-                return Ok(w);
+                return Some(w);
             }
             if st.live < self.cap {
                 st.live += 1;
-                drop(st);
-                return spawn_worker().inspect_err(|_| {
-                    lock(&self.state).live -= 1;
-                    self.available.notify_one();
-                });
+                return None;
             }
             st = self.available.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -146,169 +206,98 @@ impl WorkerPool {
         self.available.notify_one();
     }
 
-    /// Force-reap a worker that broke protocol (or died); its slot becomes
-    /// spawnable again.
+    /// Kill and reap a worker that broke protocol, died or never got a jail;
+    /// its slot becomes spawnable again.
     fn discard(&self, worker: Worker) {
-        // SAFETY: `pid` is a child this pool forked and has not yet reaped;
-        // the descriptors are owned by `worker` and closed exactly once
-        // here. `waitpid` writes through a valid `&mut status`.
-        unsafe {
-            raw::kill(worker.pid, raw::SIGKILL);
-            let mut status = 0;
-            raw::waitpid(worker.pid, &mut status, 0);
-            raw::close(worker.req_wr);
-            raw::close(worker.rep_rd);
-        }
-        let _ = std::fs::remove_dir_all(&worker.dir);
+        drop(worker);
+        self.release();
+    }
+
+    /// Give back a slot whose worker is gone (or was never forked).
+    fn release(&self) {
         lock(&self.state).live -= 1;
         self.available.notify_one();
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        let mut st = lock(&self.state);
-        let idle: Vec<Worker> = st.idle.drain(..).collect();
-        for w in idle {
-            // SAFETY: closing the request pipe makes the worker read EOF and
-            // `_exit(0)`; the descriptors are owned by `w` and closed exactly
-            // once, and `waitpid` writes through a valid `&mut status`.
-            unsafe {
-                raw::close(w.req_wr);
-                let mut status = 0;
-                raw::waitpid(w.pid, &mut status, 0);
-                raw::close(w.rep_rd);
-            }
-            let _ = std::fs::remove_dir_all(&w.dir);
-            st.live -= 1;
-        }
-    }
+/// Whether a worker can build its jail here: fork one with an empty script,
+/// read its reply and reap it. This bypasses the pool, so no exec counter
+/// moves.
+pub(super) fn probe() -> bool {
+    let script = Script::new("sandbox___probe", "sandbox");
+    spawn_worker(&script, ExecOptions::default())
+        .is_ok_and(|worker| matches!(read_reply(&worker, &script), Reply::Served(Ok(_))))
 }
 
-/// Fork one persistent worker and wait for its ready/sandbox handshake.
-fn spawn_worker() -> Result<Worker, ExecError> {
-    let spawn_err = |message: String| ExecError::Backend {
-        script: "<worker-spawn>".to_string(),
-        message,
-    };
-    let dir = fresh_sandbox_dir().map_err(|e| spawn_err(format!("sandbox dir: {e}")))?;
+/// A fresh pipe as `(read end, write end)`.
+fn pipe() -> Result<(OwnedFd, OwnedFd), String> {
+    let mut fds = [0i32; 2];
+    // SAFETY: `fds` is a live array of exactly the two c_ints the kernel
+    // writes.
+    if unsafe { raw::pipe(fds.as_mut_ptr()) } != 0 {
+        return Err(format!("pipe: errno {}", errno_raw()));
+    }
+    // SAFETY: `pipe` just created both descriptors; nothing else owns them.
+    Ok(unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) })
+}
+
+/// Fork a worker that chroots into a fresh jail and runs `first` there before
+/// it reads any request. `first` reaches the child through the fork itself,
+/// so the worker's first reply is already due: the caller reads it next.
+/// `Err` means no worker could be started; nothing is left behind.
+fn spawn_worker(first: &Script, opts: ExecOptions) -> Result<Worker, String> {
+    let (req_rd, req_wr) = pipe()?;
+    let (rep_rd, rep_wr) = pipe()?;
+    let dir = fresh_sandbox_dir().map_err(|e| format!("sandbox dir: {e}"))?;
     let mut root = dir.as_os_str().as_encoded_bytes().to_vec();
     root.push(0);
 
-    let mut req = [0i32; 2];
-    let mut rep = [0i32; 2];
-    // SAFETY: each array is a live buffer of exactly the two c_ints the
-    // kernel writes.
-    if unsafe { raw::pipe(req.as_mut_ptr()) } != 0 {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(spawn_err(format!("pipe: errno {}", errno_raw())));
-    }
-    if unsafe { raw::pipe(rep.as_mut_ptr()) } != 0 {
-        // SAFETY: both request-pipe ends were just created and are owned here.
-        unsafe {
-            raw::close(req[0]);
-            raw::close(req[1]);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(spawn_err(format!("pipe: errno {}", errno_raw())));
-    }
-
     // SAFETY: integer-only FFI call; the child branch immediately enters
-    // `pool_worker_main` and never returns into Rust caller frames.
+    // `worker_loop` and never returns into Rust caller frames.
     let pid = unsafe { raw::fork() };
     if pid < 0 {
-        // SAFETY: all four pipe ends were just created and are owned here.
-        unsafe {
-            for fd in [req[0], req[1], rep[0], rep[1]] {
-                raw::close(fd);
-            }
-        }
+        let err = format!("fork: errno {}", errno_raw());
         let _ = std::fs::remove_dir_all(&dir);
-        return Err(spawn_err(format!("fork: errno {}", errno_raw())));
+        return Err(err);
     }
     if pid == 0 {
-        // SAFETY: the child owns its copies of the parent-side ends and
-        // closes each exactly once before entering the serve loop.
-        unsafe {
-            raw::close(req[1]);
-            raw::close(rep[0]);
-        }
-        pool_worker_main(&root, req[0], rep[1]);
+        worker_loop(&root, first, opts, req_rd.as_raw_fd(), rep_wr.as_raw_fd());
     }
-
-    // SAFETY: the parent owns its copies of the child-side ends and closes
-    // each exactly once.
-    unsafe {
-        raw::close(req[0]);
-        raw::close(rep[1]);
-    }
-    let worker = Worker { pid, req_wr: req[1], rep_rd: rep[0], dir };
-
-    // The worker reports exactly one startup frame: ready, or why not.
-    match read_frame(worker.rep_rd) {
-        Some((TAG_READY, _)) => Ok(worker),
-        Some((TAG_SANDBOX, msg)) => {
-            let why = String::from_utf8_lossy(&msg).into_owned();
-            reap(worker);
-            Err(ExecError::SandboxUnavailable(format!("worker could not chroot ({why})")))
-        }
-        other => {
-            let desc = match other {
-                Some((tag, _)) => format!("unexpected startup frame tag {tag:#x}"),
-                None => "worker died before handshake".to_string(),
-            };
-            reap(worker);
-            Err(spawn_err(desc))
-        }
-    }
+    // The child's ends close here, so EOF on `rep_rd` means the worker died.
+    drop((req_rd, rep_wr));
+    Ok(Worker { pid, req_wr, rep_rd, dir })
 }
 
-/// Reap a worker that never became usable.
-fn reap(worker: Worker) {
-    // SAFETY: `pid` is an unreaped child of this process; the descriptors
-    // are owned by `worker` and closed exactly once.
-    unsafe {
-        raw::close(worker.req_wr);
-        let mut status = 0;
-        raw::waitpid(worker.pid, &mut status, 0);
-        raw::close(worker.rep_rd);
+/// Send `script` to an idle worker and read its reply.
+fn run_on(worker: &Worker, script: &Script, opts: ExecOptions) -> Reply {
+    if !write_frame(worker.req_wr.as_raw_fd(), TAG_EXEC, &encode_exec_request(script, opts)) {
+        return Reply::Broken("request write failed (worker gone)".to_string());
     }
-    let _ = std::fs::remove_dir_all(&worker.dir);
+    read_reply(worker, script)
 }
 
-/// One request/reply round-trip. The outer `Err` means the worker can no
-/// longer be trusted (died, or sent bytes we cannot interpret) and must be
-/// discarded; the inner result is the script's own outcome.
-fn run_on(
-    worker: &Worker,
-    script: &Script,
-    opts: ExecOptions,
-) -> Result<Result<Trace, ExecError>, String> {
-    if !write_frame(worker.req_wr, TAG_EXEC, &encode_exec_request(script, opts)) {
-        return Err("request write failed (worker gone)".to_string());
-    }
-    match read_frame(worker.rep_rd) {
-        Some((TAG_TRACE, bytes)) => {
-            let text = String::from_utf8_lossy(&bytes);
-            match parse_trace(&text) {
-                Ok(mut trace) => {
-                    // As in the cold path: the rendered form re-derives the
-                    // group from the name; pin both to the script's values.
-                    trace.name = script.name.clone();
-                    trace.group = script.group.clone();
-                    Ok(Ok(trace))
-                }
-                // An unparseable trace means worker state is suspect, not
-                // just this script: discard it.
-                Err(e) => Err(format!("worker trace unparseable: {e}")),
+/// Read the worker's reply to `script`.
+fn read_reply(worker: &Worker, script: &Script) -> Reply {
+    match read_frame(worker.rep_rd.as_raw_fd()) {
+        Some((TAG_TRACE, bytes)) => match parse_trace(&String::from_utf8_lossy(&bytes)) {
+            Ok(mut trace) => {
+                // The rendered form re-derives the group from the name; pin
+                // both to the script's own values.
+                trace.name = script.name.clone();
+                trace.group = script.group.clone();
+                Reply::Served(Ok(trace))
             }
-        }
-        Some((TAG_ERROR, msg)) => Ok(Err(ExecError::Backend {
+            // An unparseable trace means worker state is suspect, not just
+            // this script: discard it.
+            Err(e) => Reply::Broken(format!("worker trace unparseable: {e}")),
+        },
+        Some((TAG_ERROR, msg)) => Reply::Served(Err(ExecError::Backend {
             script: script.name.clone(),
             message: String::from_utf8_lossy(&msg).into_owned(),
         })),
-        Some((tag, _)) => Err(format!("unexpected reply frame tag {tag:#x}")),
-        None => Err("worker died mid-script".to_string()),
+        Some((TAG_SANDBOX, msg)) => Reply::Sandbox(String::from_utf8_lossy(&msg).into_owned()),
+        Some((tag, _)) => Reply::Broken(format!("unexpected reply frame tag {tag:#x}")),
+        None => Reply::Broken("worker died mid-script".to_string()),
     }
 }
 
@@ -316,13 +305,15 @@ fn run_on(
 // Child side
 // ---------------------------------------------------------------------------
 
-/// Serve loop of a persistent worker: chroot once, then
+/// A forked worker: chroot into `root`, run `first`, then
 /// read-execute-reply-reset until EOF on the request pipe. Never returns.
-fn pool_worker_main(root: &[u8], req_rd: i32, rep_wr: i32) -> ! {
+fn worker_loop(root: &[u8], first: &Script, opts: ExecOptions, req_rd: i32, rep_wr: i32) -> ! {
+    // Drop every inherited descriptor but stdio and our two pipe ends: a
+    // sibling's pipe end held open here would keep the parent from ever
+    // seeing that sibling's EOF.
     close_all_except(&[0, 1, 2, req_rd, rep_wr]);
     // SAFETY: `root` is NUL-terminated by the caller and the `c"…"` literals
-    // by construction; all other calls are integer-only. `_exit` never
-    // returns and skips the parent's atexit state, as a forked worker must.
+    // by construction; all other calls are integer-only.
     let jail_root_fd = unsafe {
         if raw::chdir(root.as_ptr().cast()) != 0
             || raw::chroot(c".".as_ptr().cast()) != 0
@@ -330,7 +321,7 @@ fn pool_worker_main(root: &[u8], req_rd: i32, rep_wr: i32) -> ! {
         {
             let msg = format!("errno={}", errno_raw());
             write_frame(rep_wr, TAG_SANDBOX, msg.as_bytes());
-            raw::_exit(EXIT_SANDBOX);
+            exit(EXIT_SANDBOX);
         }
         raw::umask(0o022);
         // The anchor the whole reset contract hangs off: an O_PATH handle on
@@ -345,52 +336,53 @@ fn pool_worker_main(root: &[u8], req_rd: i32, rep_wr: i32) -> ! {
         if fd < 0 {
             let msg = format!("jail root fd: errno={}", errno_raw());
             write_frame(rep_wr, TAG_SANDBOX, msg.as_bytes());
-            raw::_exit(EXIT_SANDBOX);
+            exit(EXIT_SANDBOX);
         }
         fd
     };
-    if !write_frame(rep_wr, TAG_READY, b"") {
-        // SAFETY: integer-only, never returns.
-        unsafe { raw::_exit(EXIT_OK) };
-    }
 
+    serve(first, opts, jail_root_fd, req_rd, rep_wr);
     loop {
         let Some((tag, payload)) = read_frame(req_rd) else {
             // EOF: the pool is shutting down.
-            // SAFETY: integer-only, never returns.
-            unsafe { raw::_exit(EXIT_OK) };
+            exit(EXIT_OK);
         };
         if tag != TAG_EXEC {
-            // Protocol violation: die rather than guess (the parent will
-            // cold-fork the script in flight and respawn).
-            // SAFETY: integer-only, never returns.
-            unsafe { raw::_exit(EXIT_SANDBOX) };
+            // Protocol violation: die rather than guess (the parent will run
+            // the script in flight on another worker).
+            exit(EXIT_SANDBOX);
         }
         match decode_exec_request(&payload) {
-            Ok((script, opts)) => {
-                let trace = super::run_script_in_jail(&script, opts);
-                let rendered = render_trace(&trace);
-                if !write_frame(rep_wr, TAG_TRACE, rendered.as_bytes()) {
-                    // SAFETY: integer-only, never returns.
-                    unsafe { raw::_exit(EXIT_OK) };
-                }
-                // Reset *after* replying, overlapping the teardown with the
-                // parent's dispatch of the next script. A worker that cannot
-                // restore a pristine jail must never serve again.
-                if !reset_jail(jail_root_fd, req_rd, rep_wr) {
-                    // SAFETY: integer-only, never returns.
-                    unsafe { raw::_exit(EXIT_SANDBOX) };
-                }
-            }
+            Ok((script, opts)) => serve(&script, opts, jail_root_fd, req_rd, rep_wr),
+            // The jail was not touched, so the worker stays usable.
             Err(msg) => {
-                // The jail was not touched, so the worker stays usable.
                 if !write_frame(rep_wr, TAG_ERROR, msg.as_bytes()) {
-                    // SAFETY: integer-only, never returns.
-                    unsafe { raw::_exit(EXIT_OK) };
+                    exit(EXIT_OK);
                 }
             }
         }
     }
+}
+
+/// Run one script in the jail, reply with its trace, and reset the jail for
+/// the next one. The reset comes *after* the reply, overlapping the teardown
+/// with the parent's dispatch of the next script. A worker that cannot reply,
+/// or cannot restore a pristine jail, exits rather than serve again.
+fn serve(script: &Script, opts: ExecOptions, jail_root_fd: i32, req_rd: i32, rep_wr: i32) {
+    let rendered = render_trace(&super::run_script_in_jail(script, opts));
+    if !write_frame(rep_wr, TAG_TRACE, rendered.as_bytes()) {
+        exit(EXIT_OK);
+    }
+    if !reset_jail(jail_root_fd, req_rd, rep_wr) {
+        exit(EXIT_SANDBOX);
+    }
+}
+
+/// End the worker without unwinding into, or running the atexit handlers of,
+/// the parent's state it inherited.
+fn exit(code: i32) -> ! {
+    // SAFETY: integer-only, never returns.
+    unsafe { raw::_exit(code) }
 }
 
 /// Restore the pristine-jail invariant between scripts (see the module docs
@@ -505,7 +497,7 @@ fn close_all_except(keep: &[i32]) {
     for fd in keep {
         if fd > next {
             // SAFETY: integer-only FFI call; best effort (close_range is
-            // glibc ≥ 2.34 / kernel ≥ 5.9, like the cold path's usage).
+            // glibc ≥ 2.34 / kernel ≥ 5.9).
             unsafe { raw::close_range(next, fd - 1, 0) };
         }
         next = fd + 1;
@@ -516,10 +508,12 @@ fn close_all_except(keep: &[i32]) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::HostFs;
-    use crate::{ExecOptions, Executor};
+    use super::super::{raw, sandbox_base_dir, HostFs};
+    use super::lock;
+    use crate::{ExecError, ExecOptions, Executor};
     use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue};
     use sibylfs_core::flags::{FileMode, OpenFlags};
+    use sibylfs_core::obs;
     use sibylfs_core::types::{Fd, Gid, Pid, Uid};
     use sibylfs_script::Script;
 
@@ -582,12 +576,13 @@ mod tests {
     #[test]
     fn jail_reset_leaves_nothing_observable_for_the_next_script() {
         // One worker, so both scripts run in the same process and the same
-        // jail: the probe sees the reset, or the leak.
+        // jail: the probe sees the reset, or the leak. The baseline is the
+        // probe as the first script of a freshly forked worker, which never
+        // saw a reset.
         let Some(pooled) = pooled_or_skip(1) else { return };
-        let cold = HostFs::new();
         let opts = ExecOptions::default();
 
-        let baseline = cold.execute_script(&probe_script(), opts).unwrap();
+        let baseline = HostFs::pooled(1).execute_script(&probe_script(), opts).unwrap();
         pooled.execute_script(&dirty_script(), opts).unwrap();
         let after_dirty = pooled.execute_script(&probe_script(), opts).unwrap();
         assert_eq!(
@@ -605,9 +600,8 @@ mod tests {
     }
 
     #[test]
-    fn repeated_scripts_on_one_worker_match_cold_forks() {
+    fn repeated_scripts_on_one_worker_match_a_fresh_worker() {
         let Some(pooled) = pooled_or_skip(1) else { return };
-        let cold = HostFs::new();
         let opts = ExecOptions::default();
         let mut s = Script::new("mkdir___pool_repeat", "mkdir");
         s.call(OsCommand::Mkdir("/d".into(), mode(0o777)))
@@ -618,7 +612,7 @@ mod tests {
             ))
             .call(OsCommand::Write(Fd(3), b"x".to_vec()))
             .call(OsCommand::Stat("/d/f".into()));
-        let reference = cold.execute_script(&s, opts).unwrap();
+        let reference = HostFs::pooled(1).execute_script(&s, opts).unwrap();
         for round in 0..5 {
             let t = pooled.execute_script(&s, opts).unwrap();
             assert_eq!(t, reference, "round {round} must not see prior rounds");
@@ -639,5 +633,55 @@ mod tests {
             sibylfs_core::obs::m::EXEC_JAIL_RESETS_TOTAL.get() >= resets0 + 6,
             "every pooled script rides a jail reset, not a fresh fork"
         );
+    }
+
+    #[test]
+    fn a_killed_idle_worker_is_respawned_and_the_script_still_runs() {
+        let Some(pooled) = pooled_or_skip(1) else { return };
+        let opts = ExecOptions::default();
+        let s = probe_script();
+        let reference = pooled.execute_script(&s, opts).unwrap();
+        let idle_pid = || lock(&pooled.pool.state).idle[0].pid;
+        let killed = idle_pid();
+        // SAFETY: integer-only FFI call on a child the pool forked and has
+        // not reaped, so the pid cannot have been reused.
+        assert_eq!(unsafe { raw::kill(killed, raw::SIGKILL) }, 0);
+
+        let respawns = obs::m::EXEC_WORKER_RESPAWNS_TOTAL.get();
+        let t = pooled.execute_script(&s, opts).unwrap();
+        assert_eq!(t, reference, "the script re-runs on a new worker with the same trace");
+        assert_eq!(obs::m::EXEC_WORKER_RESPAWNS_TOTAL.get(), respawns + 1);
+        assert_ne!(idle_pid(), killed, "the dead worker was replaced");
+    }
+
+    #[test]
+    fn an_unprivileged_pool_reports_sandbox_unavailable_and_releases_its_slot() {
+        if HostFs::available() {
+            eprintln!("skipping: host sandbox available (this test needs an unprivileged run)");
+            return;
+        }
+        let pooled = HostFs::pooled(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let calls = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let _ = tx.send(pooled.execute_script(&probe_script(), ExecOptions::default()));
+            }
+        });
+        for call in 1..=2 {
+            // The pool has one slot: had the first call kept it, the second
+            // would block forever.
+            match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(Err(ExecError::SandboxUnavailable(_))) => {}
+                other => panic!("call {call}: expected SandboxUnavailable, got {other:?}"),
+            }
+        }
+        calls.join().unwrap();
+        let ours = format!("sibylfs-host-{}-", std::process::id());
+        let left: Vec<String> = std::fs::read_dir(sandbox_base_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&ours))
+            .collect();
+        assert!(left.is_empty(), "jail directories left behind: {left:?}");
     }
 }

@@ -1,29 +1,29 @@
-//! The length-prefixed pipe protocol between the parent and a persistent
-//! pool worker.
+//! The length-prefixed pipe protocol between the parent and a worker
+//! process.
 //!
 //! Frames are `[tag: 1 byte][len: 4 bytes LE][payload: len bytes]`, in both
-//! directions. The parent sends one [`TAG_EXEC`] request per script; the
-//! worker answers each with exactly one reply frame:
+//! directions. A worker's first script needs no frame: it rides the fork
+//! that creates the worker. The parent sends every later script as one
+//! [`TAG_EXEC`] request. The worker answers each script with exactly one
+//! reply frame:
 //!
-//! * [`TAG_READY`] — sent once at startup, after the chroot succeeded (so a
-//!   failed spawn is detected at spawn time, not first use);
 //! * [`TAG_TRACE`] — the rendered trace of an executed script;
 //! * [`TAG_ERROR`] — a request-level failure (unparseable request); the jail
 //!   was not touched, so the worker stays usable;
-//! * [`TAG_SANDBOX`] — the worker cannot provide a (clean) jail: chroot
-//!   failed at startup. Jail-reset failures after a reply do not get a
-//!   frame; the worker exits and the parent sees EOF on the next request.
+//! * [`TAG_SANDBOX`] — the worker could not build its jail (chroot failed),
+//!   ran nothing, and exits; only ever a worker's first reply. Jail-reset
+//!   failures after a reply do not get a frame; the worker exits and the
+//!   parent sees EOF on the next request.
 //!
 //! EOF on the request pipe is the shutdown signal; EOF on the reply pipe
-//! means the worker died and the parent falls back to a cold fork for the
-//! script in flight. All I/O is blocking; a frame larger than [`MAX_FRAME`]
+//! means the worker died, and the parent runs the script in flight once more
+//! on another worker. All I/O is blocking; a frame larger than [`MAX_FRAME`]
 //! is treated as a protocol failure (the reader gives up, killing the
 //! worker) rather than an allocation.
 
 use super::raw;
 
 pub(super) const TAG_EXEC: u8 = b'X';
-pub(super) const TAG_READY: u8 = b'R';
 pub(super) const TAG_TRACE: u8 = b'T';
 pub(super) const TAG_ERROR: u8 = b'E';
 pub(super) const TAG_SANDBOX: u8 = b'S';
@@ -35,7 +35,7 @@ pub(super) const MAX_FRAME: usize = 64 << 20;
 
 /// Write all of `buf` to `fd`; `false` on any write error (broken pipe ⇒
 /// the peer is gone).
-pub(super) fn write_all(fd: i32, mut buf: &[u8]) -> bool {
+fn write_all(fd: i32, mut buf: &[u8]) -> bool {
     while !buf.is_empty() {
         // SAFETY: `buf` is a live slice of `buf.len()` readable bytes.
         let n = unsafe { raw::write(fd, buf.as_ptr().cast(), buf.len()) };

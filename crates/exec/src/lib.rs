@@ -12,9 +12,10 @@
 //!   (or as an unprivileged user when requested), and additional processes
 //!   are created with whatever credentials the script declares.
 //! * [`HostFs`] (`target_os = "linux"` only) — the real-host backend: each
-//!   script runs in a forked worker process chroot-jailed inside a fresh
-//!   temporary directory, issuing genuine libc syscalls, exactly as the
-//!   paper's test executor does (§6.2). See the [`host`] module.
+//!   script runs on one of a pool of forked worker processes, each
+//!   chroot-jailed in its own temporary directory that it empties between
+//!   scripts, issuing genuine libc syscalls, as the paper's test executor
+//!   does (§6.2). See the [`host`] module.
 //!
 //! Both backends record the same [`Trace`] structure, so the checker and the
 //! reporting pipeline are oblivious to where a trace came from — which is
@@ -22,8 +23,6 @@
 //! real kernel with the model as the oracle.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use sibylfs_core::commands::OsLabel;
 use sibylfs_core::obs;
@@ -62,7 +61,7 @@ pub fn host_backend_available() -> bool {
 }
 
 /// Options controlling script execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Whether the initial process runs as root (the paper's default; worker
     /// processes for permission tests are created explicitly by scripts).
@@ -227,7 +226,7 @@ pub fn execute_suite(
 
 /// Summary statistics of a suite execution, reported by the performance
 /// experiment (§7.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Number of scripts executed.
     pub scripts: usize,

@@ -8,13 +8,11 @@
 //! the same bugs — exercises exactly the same checker code paths. Each
 //! [`BehaviorProfile`] captures one configuration's choices.
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flavor::Flavor;
 
 /// The order in which `readdir` returns directory entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReaddirOrder {
     /// Lexicographically sorted (e.g. tmpfs-like behaviour).
     Sorted,
@@ -29,7 +27,7 @@ pub enum ReaddirOrder {
 /// Fields are grouped as: identity, error-code choices, platform conventions,
 /// feature limitations, injected defects (each corresponding to a finding in
 /// §7.3 of the paper), and mount-option effects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorProfile {
     /// Configuration name, e.g. `"linux/ext4"`.
     pub name: String,

@@ -8,20 +8,16 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::errno::Errno;
 use sibylfs_core::intern::Name;
 use sibylfs_core::path::ParsedPath;
 
 /// An inode number.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ino(pub u64);
 
 /// Ownership and permission metadata of an inode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeMeta {
     /// Permission bits (low 12 bits of `mode_t`).
     pub mode: u32,
@@ -32,7 +28,7 @@ pub struct NodeMeta {
 }
 
 /// The type-specific part of an inode.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// A regular file with its data.
     File {
@@ -57,7 +53,7 @@ pub enum NodeKind {
 }
 
 /// An inode.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Type-specific content.
     pub kind: NodeKind,
@@ -127,7 +123,7 @@ pub enum SimRes {
 }
 
 /// The in-memory inode store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemFs {
     nodes: BTreeMap<u64, Node>,
     root: Ino,

@@ -10,8 +10,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue, Stat};
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flags::{FileMode, OpenFlags, SeekWhence};
@@ -23,7 +21,7 @@ use crate::behavior::{BehaviorProfile, ReaddirOrder};
 use crate::memfs::{Ino, MemFs, NodeKind, NodeMeta, SimRes};
 
 /// A per-process open file descriptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimFd {
     /// The inode the descriptor refers to.
     pub ino: Ino,
@@ -36,7 +34,7 @@ pub struct SimFd {
 }
 
 /// A per-process open directory stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimDh {
     /// The directory being listed.
     pub dir: Ino,
@@ -49,7 +47,7 @@ pub struct SimDh {
 }
 
 /// Per-process state of the simulated OS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimProc {
     /// Current working directory.
     pub cwd: Ino,
@@ -91,7 +89,7 @@ enum Want {
 }
 
 /// The simulated operating system and file system under test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimOs {
     /// The behaviour profile of this configuration.
     pub profile: BehaviorProfile,

@@ -11,14 +11,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_check::CheckedTrace;
 use sibylfs_core::coverage::{CoverageMap, CoverageSummary};
 
 /// A single aggregated deviation signature: the libc function, what was
 /// observed, and what the specification allowed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DeviationKey {
     /// The libc function involved.
     pub function: String,
@@ -30,7 +28,7 @@ pub struct DeviationKey {
 
 /// The summary of checking one configuration's traces against one flavour of
 /// the specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunSummary {
     /// The configuration name (e.g. `linux/ext4`).
     pub config: String,
@@ -159,7 +157,7 @@ pub fn render_run_markdown(s: &RunSummary) -> String {
 /// A merged view over many configurations (the paper's merged test runs,
 /// §2/§7): per-configuration acceptance plus the deviation signatures that
 /// are unique to a few configurations (highlighted) versus common to many.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MergedReport {
     /// Per-configuration summaries, in input order.
     pub runs: Vec<RunSummary>,

@@ -23,8 +23,6 @@
 pub mod parse;
 pub mod print;
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel};
 use sibylfs_core::types::{Gid, Pid, Uid, INITIAL_PID};
 
@@ -32,7 +30,7 @@ pub use parse::{parse_script, parse_script_spanned, parse_trace, ParseError};
 pub use print::{render_script, render_trace};
 
 /// One step of a test script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScriptStep {
     /// A libc call made by a process.
     Call {
@@ -59,7 +57,7 @@ pub enum ScriptStep {
 
 /// A test script: a named sequence of steps, executed against an initially
 /// empty file system by a default process (`p1`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Script {
     /// The script name (from the `# Test <name>` header comment).
     pub name: String,
@@ -108,7 +106,7 @@ impl Script {
 
 /// One event of a recorded trace, tagged with the line number of the call in
 /// the trace file (used in diagnostics, as in Fig. 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep {
     /// The line number of this step in the rendered trace.
     pub lineno: usize,
@@ -118,7 +116,7 @@ pub struct TraceStep {
 
 /// A recorded trace: the interleaving of calls and observed return values
 /// produced by executing a script against a real (or simulated) file system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// The originating script name.
     pub name: String,

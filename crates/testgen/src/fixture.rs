@@ -10,14 +10,12 @@
 //! containing at least one representative object for each class, then issues
 //! the command under test with paths drawn from the pool.
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_core::commands::OsCommand;
 use sibylfs_core::flags::{FileMode, OpenFlags};
 use sibylfs_script::Script;
 
 /// What a pool path resolves to within the standard fixture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PathClass {
     /// An existing regular file.
     File,
@@ -46,7 +44,7 @@ pub enum PathClass {
 
 /// One entry of the path pool: the literal path plus its classification and
 /// syntactic properties.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolPath {
     /// The path as written in generated scripts.
     pub path: &'static str,

@@ -19,8 +19,6 @@ pub mod sequences;
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sibylfs_script::Script;
 
 pub use fixture::{PathClass, PoolPath, PATH_POOL};
@@ -28,7 +26,7 @@ pub use loadgen::{loadgen_scripts, LoadgenOptions};
 pub use random::RandomOptions;
 
 /// Which portions of the suite to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteOptions {
     /// Sweep the full `open` flag space (64 flag subsets × 3 access modes per
     /// path) rather than a representative selection.
@@ -87,7 +85,7 @@ pub fn generate_suite(opts: SuiteOptions) -> Vec<Script> {
 
 /// Per-group counts of a generated suite (the shape the paper reports: e.g.
 /// ~2 500 autogenerated scripts for `rename` alone, §6.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SuiteSummary {
     /// Total number of scripts.
     pub total: usize,

@@ -132,8 +132,8 @@ fn host_quick_suite_checks_clean_modulo_known_divergences() {
     }
     let suite = quick_suite();
     // The suite runs through the streaming pipeline on a pool of persistent
-    // pre-jailed workers — the production host path (equivalence with cold
-    // sequential forks is asserted by `tests/pipeline_equivalence.rs`).
+    // pre-jailed workers — the production host path (equivalence with a
+    // fresh worker per script is asserted by `tests/pipeline_equivalence.rs`).
     let host = std::sync::Arc::new(HostFs::pooled(4));
     let traces =
         sibylfs::exec::execute_suite_pipelined(host, &suite, ExecOptions::default(), 4)

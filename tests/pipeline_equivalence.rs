@@ -2,7 +2,8 @@
 //! the traces (and therefore the verdicts) coming out of
 //! `execute_suite_pipelined`'s worker threads — and, on the host, out of the
 //! persistent pre-jailed worker pool — must be byte-identical to the plain
-//! sequential `execute_suite_on` path, in the same order.
+//! sequential path, in the same order. On the host that reference runs each
+//! script on its own freshly forked worker, whose jail was never reset.
 //!
 //! The corpus deliberately mixes the three script populations with different
 //! stress profiles: the combinatorial quick suite (breadth), the model-gap
@@ -22,7 +23,7 @@ use sibylfs::testgen::sequences::model_gap_scripts;
 use sibylfs::testgen::{generate_suite, SuiteOptions};
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-use sibylfs::exec::HostFs;
+use sibylfs::exec::{Executor, HostFs};
 
 /// Quick suite + model-gap scripts + contention families.
 fn corpus() -> Vec<Script> {
@@ -81,9 +82,12 @@ fn host_pool_pipeline_is_byte_identical_to_cold_forks() {
     let scripts = corpus();
     let opts = ExecOptions::default();
 
-    // The reference: sequential execution, one cold fork + fresh jail per
-    // script — the semantics the pool must reproduce exactly.
-    let sequential = execute_suite_on(&HostFs::new(), &scripts, opts).unwrap();
+    // The reference: sequential execution, one fresh single-worker pool per
+    // script, so every script runs as the first (forked-with) script of a new
+    // worker in a never-reset jail — the semantics the pool must reproduce
+    // exactly.
+    let sequential: Vec<Trace> =
+        scripts.iter().map(|s| HostFs::pooled(1).execute_script(s, opts).unwrap()).collect();
     for workers in [1, 4] {
         let pooled = Arc::new(HostFs::pooled(workers));
         let pipelined = execute_suite_pipelined(pooled, &scripts, opts, workers).unwrap();
