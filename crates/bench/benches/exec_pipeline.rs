@@ -2,10 +2,10 @@
 //!
 //! Two families of rows, both reported as scripts/sec over the bench suite:
 //!
-//! * `sim/*` — the in-process `SimExecutor`. `sim/sequential` is the plain
-//!   `execute_suite_on` loop; `sim/pipelined/{1,2,4,8}` drive the same suite
-//!   through `execute_suite_pipelined` (a `sibylfs_core::pool::map`) at each
-//!   worker count. Sim execution is pure compute, so the pooled rows only
+//! * `sim/*` — the in-process `SimExecutor`. `sim/sequential` is a plain
+//!   loop over `Executor::execute_script`; `sim/pipelined/{1,2,4,8}` drive
+//!   the same suite through `execute_suite` (a `sibylfs_core::pool::map`) at
+//!   each worker count. Sim execution is pure compute, so the pooled rows only
 //!   pull ahead of sequential when the machine has more than one core — on a
 //!   single-core runner they measure the pool's thread start-up instead (it
 //!   should be small).
@@ -22,12 +22,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use std::sync::Arc;
-
 use sibylfs_bench::{bench_profile, bench_suite};
-use sibylfs_exec::{
-    execute_suite_on, execute_suite_pipelined, ExecOptions, Executor, SimExecutor,
-};
+use sibylfs_exec::{execute_suite, ExecOptions, Executor, SimExecutor};
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 use sibylfs_exec::HostFs;
@@ -46,17 +42,17 @@ fn exec_pipeline(c: &mut Criterion) {
     group.throughput(Throughput::Elements(suite.len() as u64));
     let sim = SimExecutor::new(bench_profile());
     group.bench_function("sim/sequential", |b| {
-        b.iter(|| execute_suite_on(&sim, &suite, ExecOptions::default()).unwrap().len())
+        b.iter(|| {
+            suite
+                .iter()
+                .map(|s| sim.execute_script(s, ExecOptions::default()).unwrap())
+                .collect::<Vec<_>>()
+                .len()
+        })
     });
-    let sim: Arc<dyn Executor + Send + Sync> = Arc::new(SimExecutor::new(bench_profile()));
     for &w in WORKER_COUNTS {
-        let sim = Arc::clone(&sim);
         group.bench_with_input(BenchmarkId::new("sim/pipelined", w), &w, |b, &w| {
-            b.iter(|| {
-                execute_suite_pipelined(Arc::clone(&sim), &suite, ExecOptions::default(), w)
-                    .unwrap()
-                    .len()
-            })
+            b.iter(|| execute_suite(&sim, &suite, ExecOptions::default(), w).unwrap().len())
         });
     }
 
@@ -87,18 +83,9 @@ fn host_rows(group: &mut criterion::BenchmarkGroup<'_>, suite: &[sibylfs_script:
     for &w in WORKER_COUNTS {
         // One pool per row, shared across iterations: the workers stay jailed
         // for the whole row, which is exactly the production reuse pattern.
-        let host: Arc<dyn Executor + Send + Sync> = Arc::new(HostFs::pooled(w));
+        let host = HostFs::pooled(w);
         group.bench_with_input(BenchmarkId::new("host/pooled", w), &w, |b, &w| {
-            b.iter(|| {
-                execute_suite_pipelined(
-                    Arc::clone(&host),
-                    host_suite,
-                    ExecOptions::default(),
-                    w,
-                )
-                .unwrap()
-                .len()
-            })
+            b.iter(|| execute_suite(&host, host_suite, ExecOptions::default(), w).unwrap().len())
         });
     }
 }

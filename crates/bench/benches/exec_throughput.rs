@@ -8,16 +8,16 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use sibylfs_bench::{bench_profile, bench_suite};
-use sibylfs_exec::{execute_suite, ExecOptions};
+use sibylfs_exec::{execute_suite, ExecOptions, SimExecutor};
 
 fn exec_throughput(c: &mut Criterion) {
     let suite = bench_suite();
-    let profile = bench_profile();
+    let sim = SimExecutor::new(bench_profile());
     let mut group = c.benchmark_group("exec_throughput");
     group.sample_size(10);
     group.throughput(Throughput::Elements(suite.len() as u64));
     group.bench_function("execute_suite", |b| {
-        b.iter(|| execute_suite(&profile, &suite, ExecOptions::default()).len())
+        b.iter(|| execute_suite(&sim, &suite, ExecOptions::default(), 1).unwrap().len())
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! performance evaluation (§7.1) and probe checker internals.
 
 use sibylfs_core::flavor::{Flavor, SpecConfig};
-use sibylfs_exec::{execute_suite, ExecOptions};
+use sibylfs_exec::{execute_suite, ExecOptions, SimExecutor};
 use sibylfs_fsimpl::{configs, BehaviorProfile};
 use sibylfs_script::{Script, Trace};
 use sibylfs_testgen::{generate_suite, SuiteOptions};
@@ -30,7 +30,9 @@ pub fn bench_spec() -> SpecConfig {
 
 /// Traces of the benchmark suite executed on the reference configuration.
 pub fn bench_traces() -> Vec<Trace> {
-    execute_suite(&bench_profile(), &bench_suite(), ExecOptions::default())
+    let sim = SimExecutor::new(bench_profile());
+    execute_suite(&sim, &bench_suite(), ExecOptions::default(), 1)
+        .expect("the simulation is infallible")
 }
 
 #[cfg(test)]

@@ -35,9 +35,6 @@ use sibylfs_script::Trace;
 /// Options controlling a checking run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOptions {
-    /// Whether the initial process is assumed to run with root privileges
-    /// (must match how the trace was produced).
-    pub root_user: bool,
     /// A safety bound on the tracked state-set size; exceeding it truncates
     /// the set and records an explicit deviation (the check is lossy from
     /// that point on, so it must never be reported as clean). The
@@ -48,7 +45,7 @@ pub struct CheckOptions {
 
 impl Default for CheckOptions {
     fn default() -> Self {
-        CheckOptions { root_user: true, max_states: 4096 }
+        CheckOptions { max_states: 4096 }
     }
 }
 
@@ -202,8 +199,8 @@ struct LoopState {
 }
 
 impl LoopState {
-    fn initial(init_cfg: &SpecConfig) -> LoopState {
-        let states = StateSet::singleton(OsState::initial_with_process(init_cfg, INITIAL_PID));
+    fn initial(cfg: &SpecConfig) -> LoopState {
+        let states = StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID));
         LoopState {
             max_states: states.len(),
             states,
@@ -268,7 +265,6 @@ impl Checker {
         let started = std::time::Instant::now();
         let cfg = &self.cfg;
         let opts = self.opts;
-        let init_cfg = SpecConfig { root_user: opts.root_user, ..*cfg };
 
         let resumed = self
             .snapshots
@@ -279,7 +275,7 @@ impl Checker {
         self.snapshots.truncate(resumed);
         let (mut st, steps_kept, deviations_kept) = match self.snapshots.last() {
             Some(snap) => (snap.after.clone(), snap.steps, snap.deviations),
-            None => (LoopState::initial(&init_cfg), 0, 0),
+            None => (LoopState::initial(cfg), 0, 0),
         };
         self.steps.truncate(steps_kept);
         self.deviations.truncate(deviations_kept);
@@ -364,8 +360,7 @@ impl Checker {
             if st.states.is_empty() {
                 // Unrecoverable (should not happen: recovery always yields at
                 // least one state); restart from a fresh state to keep going.
-                st.states =
-                    StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
+                st.states = StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID));
                 st.sleeps = vec![SleepSet::new()];
             }
             if keep {
@@ -711,6 +706,26 @@ mod tests {
     }
 
     #[test]
+    fn the_initial_process_runs_with_the_spec_configs_privilege() {
+        // A sim run whose initial process is unprivileged: it may not write
+        // the root directory, so the mkdir fails with EACCES.
+        let profile = sibylfs_fsimpl::configs::by_name("linux/tmpfs").unwrap();
+        let mut s = sibylfs_script::Script::new("mkdir___non_root", "mkdir");
+        s.call(OsCommand::Mkdir("/d".into(), FileMode::new(0o777)));
+        let opts = sibylfs_exec::ExecOptions { root_user: false };
+        let t = sibylfs_exec::execute_script(&profile, &s, opts);
+        let eacces = OsLabel::Return(INITIAL_PID, ErrorOrValue::Error(Errno::EACCES));
+        assert_eq!(t.steps[1].label, eacces);
+        let unprivileged = SpecConfig::unprivileged(Flavor::Linux);
+        let checked = check_trace(&unprivileged, &t, CheckOptions::default());
+        assert!(checked.accepted, "{:?}", checked.deviations);
+        // Checked as root, the same mkdir may only succeed.
+        let checked = check_trace(&cfg(), &t, CheckOptions::default());
+        assert!(!checked.accepted);
+        assert_eq!(checked.deviations[0].allowed, ["RV_none"]);
+    }
+
+    #[test]
     fn multi_process_returns_in_either_order_are_accepted() {
         let mut t = Trace::new("concurrency", "concurrency");
         t.push_label(OsLabel::Create(Pid(2), sibylfs_core::types::Uid(0), sibylfs_core::types::Gid(0)));
@@ -751,8 +766,7 @@ mod tests {
         // With the bound forced below the tracked set size, the truncation is
         // recorded as an explicit deviation and a dedicated step verdict —
         // a lossy check must never be reported clean.
-        let bounded =
-            check_trace(&cfg(), &t, CheckOptions { root_user: true, max_states: 1 });
+        let bounded = check_trace(&cfg(), &t, CheckOptions { max_states: 1 });
         assert!(!bounded.accepted);
         assert!(bounded
             .steps

@@ -8,11 +8,12 @@
 //! exercised by the matching flavour, as the paper notes), and reports the
 //! fraction of specification points hit.
 
-use sibylfs_check::{check_traces_parallel, CheckOptions};
-use sibylfs_cli::suite_from_args;
-use sibylfs_core::coverage;
+use sibylfs_check::{check_trace_with_coverage, CheckOptions};
+use sibylfs_cli::{suite_from_args, DEFAULT_WORKERS};
+use sibylfs_core::coverage::CoverageMap;
 use sibylfs_core::flavor::{Flavor, SpecConfig};
-use sibylfs_exec::{execute_suite, ExecOptions};
+use sibylfs_core::pool;
+use sibylfs_exec::{execute_suite, ExecOptions, SimExecutor};
 use sibylfs_fsimpl::configs;
 use sibylfs_report::render_coverage_markdown;
 
@@ -22,7 +23,7 @@ fn main() {
     println!("# §7.2 Test coverage of the model\n");
     println!("Suite size: {} scripts\n", suite.len());
 
-    coverage::enable();
+    let mut coverage = CoverageMap::new();
     for (config, flavor) in [
         ("linux/tmpfs", Flavor::Linux),
         ("linux/tmpfs", Flavor::Posix),
@@ -31,19 +32,26 @@ fn main() {
         ("linux/sshfs-allow-other", Flavor::Linux),
     ] {
         let profile = configs::by_name(config).expect("registered configuration");
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile);
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), DEFAULT_WORKERS)
+            .expect("the simulation is infallible");
         let cfg = SpecConfig::standard(flavor);
-        let (_, stats) = check_traces_parallel(&cfg, &traces, CheckOptions::default(), 4);
+        let results = pool::map(DEFAULT_WORKERS, &traces, |t| {
+            let (checked, cov) = check_trace_with_coverage(&cfg, t, CheckOptions::default());
+            (checked.accepted, cov)
+        });
+        for (_, cov) in &results {
+            coverage.merge(cov);
+        }
         println!(
             "* checked {} against `{}`: {}/{} accepted",
             config,
             flavor.name(),
-            stats.accepted,
-            stats.traces
+            results.iter().filter(|(accepted, _)| *accepted).count(),
+            results.len()
         );
     }
-    let hits = coverage::disable();
-    let summary = coverage::CoverageSummary::from_hits(&hits);
+    let summary = coverage.branch_summary();
     println!();
     print!("{}", render_coverage_markdown(&summary));
     println!("\nPaper reference: 98% statement coverage of the model.");

@@ -14,8 +14,9 @@ use std::time::Instant;
 use sibylfs_check::{check_traces_parallel, CheckOptions};
 use sibylfs_cli::{fmt_secs, suite_from_args};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
-use sibylfs_exec::{execute_suite_with_stats, ExecOptions};
+use sibylfs_exec::{execute_suite, ExecOptions, SimExecutor};
 use sibylfs_fsimpl::configs;
+use sibylfs_script::render_trace;
 use sibylfs_testgen::summarize_suite;
 
 fn main() {
@@ -30,15 +31,18 @@ fn main() {
 
     // Suite execution on the tmpfs-like configuration (the paper's baseline).
     let profile = configs::by_name("linux/tmpfs").expect("registered configuration");
+    let sim = SimExecutor::new(profile.clone());
     let start = Instant::now();
-    let (traces, exec_stats) = execute_suite_with_stats(&profile, &suite, ExecOptions::default());
+    let traces = execute_suite(&sim, &suite, ExecOptions::default(), 1)
+        .expect("the simulation is infallible");
     let exec_secs = start.elapsed().as_secs_f64();
+    let trace_bytes: usize = traces.iter().map(|t| render_trace(t).len()).sum();
     println!(
         "Test-suite execution on {}: {} ({:.0} traces/s, {:.1} MB of trace data)",
         profile.name,
         fmt_secs(exec_secs),
         traces.len() as f64 / exec_secs,
-        exec_stats.trace_bytes as f64 / 1e6
+        trace_bytes as f64 / 1e6
     );
 
     // Trace checking with 1, 2 and 4 workers.

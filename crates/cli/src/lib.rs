@@ -55,20 +55,12 @@ pub type SharedExecutor = Arc<dyn Executor + Send + Sync>;
 
 /// Resolve a `--config` name to an executor plus the flavour its platform is
 /// checked against by default. `host/linux` (on Linux) resolves to the
-/// real-host backend with a pool of [`DEFAULT_WORKERS`] persistent pre-jailed
-/// workers; every other name is looked up in the simulated configuration
-/// registry. `None` means the name is unknown here.
-pub fn executor_for_config(name: &str) -> Option<(SharedExecutor, Flavor)> {
-    executor_for_config_with(name, DEFAULT_WORKERS)
-}
-
-/// [`executor_for_config`] with an explicit host worker-pool size
-/// (`--exec-workers`). Simulated configurations ignore the knob — the sim is
-/// a pure function, so pool threads share one executor freely.
-pub fn executor_for_config_with(
-    name: &str,
-    exec_workers: usize,
-) -> Option<(SharedExecutor, Flavor)> {
+/// real-host backend with a pool of `exec_workers` (`--exec-workers`)
+/// persistent pre-jailed workers; every other name is looked up in the
+/// simulated configuration registry, and ignores `exec_workers` — the sim is
+/// a pure function, so pool threads share one executor freely. `None` means
+/// the name is unknown here.
+pub fn executor_for_config(name: &str, exec_workers: usize) -> Option<(SharedExecutor, Flavor)> {
     if name == HOST_CONFIG_NAME {
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         {
@@ -148,11 +140,6 @@ pub fn run_config(
     ConfigRun { profile: profile.clone(), ..run }
 }
 
-/// Execute and check a configuration against the flavour of its own platform.
-pub fn run_config_native(profile: &BehaviorProfile, suite: &[Script], workers: usize) -> ConfigRun {
-    run_config(profile, profile.platform, suite, workers)
-}
-
 /// Look up a configuration or exit with a helpful message.
 pub fn config_or_exit(name: &str) -> BehaviorProfile {
     match configs::by_name(name) {
@@ -221,13 +208,14 @@ mod tests {
 
     #[test]
     fn executor_resolution_covers_sim_and_host_names() {
-        let (exec, flavor) = executor_for_config("linux/ext4").unwrap();
+        let (exec, flavor) = executor_for_config("linux/ext4", DEFAULT_WORKERS).unwrap();
         assert_eq!(exec.backend_name(), "sim");
         assert_eq!(flavor, Flavor::Linux);
-        assert!(executor_for_config("plan9/fossil").is_none());
+        assert!(executor_for_config("plan9/fossil", DEFAULT_WORKERS).is_none());
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         {
-            let (exec, flavor) = executor_for_config(HOST_CONFIG_NAME).unwrap();
+            let (exec, flavor) =
+                executor_for_config(HOST_CONFIG_NAME, DEFAULT_WORKERS).unwrap();
             assert_eq!(exec.backend_name(), "host");
             assert_eq!(exec.config_name(), HOST_CONFIG_NAME);
             assert_eq!(flavor, Flavor::Linux);
@@ -243,7 +231,7 @@ mod tests {
         }
         let suite: Vec<Script> =
             generate_suite(SuiteOptions::quick()).into_iter().take(10).collect();
-        let (exec, flavor) = executor_for_config(HOST_CONFIG_NAME).unwrap();
+        let (exec, flavor) = executor_for_config(HOST_CONFIG_NAME, DEFAULT_WORKERS).unwrap();
         let run = run_executor(exec, flavor, &suite, 2).unwrap();
         assert_eq!(run.summary.backend, "host");
         assert_eq!(run.summary.config, HOST_CONFIG_NAME);

@@ -7,9 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use sibylfs_check::{render_checked_trace, render_parse_error, CheckOptions, Checker};
-use sibylfs_cli::{
-    executor_for_config, executor_for_config_with, run_executor, suite_from_args, DEFAULT_WORKERS,
-};
+use sibylfs_cli::{executor_for_config, run_executor, suite_from_args, DEFAULT_WORKERS};
 use sibylfs_core::flavor::Flavor;
 use sibylfs_exec::{host_backend_available, ExecError, ExecOptions, HOST_CONFIG_NAME};
 use sibylfs_fsimpl::configs;
@@ -58,8 +56,6 @@ EXPLORE OPTIONS:
     --corpus-dir DIR         persist minimized corpus entries under DIR
     --seed N                 base seed; every derived seed is recorded (default 42)
     --workers N              worker threads (default: up to 4)
-    --batch N                mutants each worker plans before evaluating them
-                             (default 8; 1 = sequential evaluation)
     --min-coverage PCT       exit 1 if final branch coverage is below PCT
     --require-gain           exit 1 unless exploration beat the static quick suite
 
@@ -240,7 +236,7 @@ fn cmd_run(args: &[String]) {
         std::process::exit(2);
     });
     let exec_workers = exec_workers_from(args);
-    let Some((executor, flavor)) = executor_for_config_with(&name, exec_workers) else {
+    let Some((executor, flavor)) = executor_for_config(&name, exec_workers) else {
         sibylfs_cli::config_or_exit(&name);
         unreachable!("config_or_exit exits for unknown names");
     };
@@ -430,7 +426,7 @@ fn cmd_serve(args: &[String]) {
 fn cmd_exec(args: &[String]) {
     let name = opt_value(args, "--config").unwrap_or_else(|| "linux/tmpfs".to_string());
     let exec_workers = exec_workers_from(args);
-    let Some((executor, _flavor)) = executor_for_config_with(&name, exec_workers) else {
+    let Some((executor, _flavor)) = executor_for_config(&name, exec_workers) else {
         sibylfs_cli::config_or_exit(&name);
         unreachable!("config_or_exit exits for unknown names");
     };
@@ -510,9 +506,6 @@ fn cmd_explore(args: &[String]) {
     }
     if let Some(workers) = num::<usize>(args, "--workers") {
         opts.workers = workers.max(1);
-    }
-    if let Some(batch) = num::<usize>(args, "--batch") {
-        opts.batch = batch.max(1);
     }
     opts.corpus_dir = opt_value(args, "--corpus-dir").map(PathBuf::from);
     opts.progress = true;
@@ -676,7 +669,9 @@ fn cmd_survey(args: &[String]) {
     }
     // The survey grows a real-host row wherever the sandbox can be built.
     if host_backend_available() {
-        if let Some((executor, default_flavor)) = executor_for_config(HOST_CONFIG_NAME) {
+        if let Some((executor, default_flavor)) =
+            executor_for_config(HOST_CONFIG_NAME, DEFAULT_WORKERS)
+        {
             let flavor = explicit_flavor.unwrap_or(default_flavor);
             match run_executor(executor, flavor, &suite, DEFAULT_WORKERS) {
                 Ok(run) => {

@@ -13,7 +13,7 @@ use sibylfs_cli::{run_executor, SharedExecutor};
 use sibylfs_core::commands::OsCommand;
 use sibylfs_core::flags::FileMode;
 use sibylfs_core::flavor::{Flavor, SpecConfig};
-use sibylfs_exec::{execute_suite_pipelined, ExecError, ExecOptions, Executor, SimExecutor};
+use sibylfs_exec::{execute_suite, ExecError, ExecOptions, Executor, SimExecutor};
 use sibylfs_fsimpl::configs;
 use sibylfs_script::{Script, Trace};
 use sibylfs_testgen::contention::{contention_scripts, ContentionOptions};
@@ -169,7 +169,7 @@ fn the_first_error_by_suite_order_wins_over_the_first_on_the_clock() {
     assert_eq!(e, injected(3));
 
     let (exec, failures) = fails_3_and_7();
-    let res = execute_suite_pipelined(exec, &scripts, ExecOptions::default(), 4);
+    let res = execute_suite(&*exec, &scripts, ExecOptions::default(), 4);
     assert_eq!(*failures.lock().unwrap(), [7, 3], "script 7 fails first");
     assert_eq!(res.err(), Some(injected(3)));
 }

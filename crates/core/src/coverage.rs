@@ -16,26 +16,20 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 use crate::commands::{ErrorOrValue, RetValue};
-use crate::pool::lock;
-
-static COLLECTOR: Mutex<Option<BTreeSet<String>>> = Mutex::new(None);
 
 thread_local! {
-    /// Per-thread scoped collector, used by the exploration engine to
-    /// attribute specification branches to the single script being checked on
-    /// this thread while many worker threads run concurrently (the global
-    /// collector would mix their hits together).
+    /// The per-thread collector: it attributes specification branches to the
+    /// single trace being checked on this thread while other threads check
+    /// their own.
     static SCOPED: RefCell<Option<BTreeSet<String>>> = const { RefCell::new(None) };
 }
 
 /// Record that the named specification clause has been evaluated.
 ///
-/// This is a no-op unless collection has been enabled with [`enable`] (global)
-/// or [`scoped_begin`] (this thread), so the cost in normal checking is one
-/// thread-local check plus a single mutex-protected check.
+/// This is a no-op unless [`scoped_begin`] has started collection on this
+/// thread, so the cost in normal checking is one thread-local check.
 pub fn spec_point(name: &str) {
     SCOPED.with(|tl| {
         if let Some(set) = tl.borrow_mut().as_mut() {
@@ -44,12 +38,6 @@ pub fn spec_point(name: &str) {
             }
         }
     });
-    let mut guard = lock(&COLLECTOR);
-    if let Some(set) = guard.as_mut() {
-        if !set.contains(name) {
-            set.insert(name.to_string());
-        }
-    }
 }
 
 /// Start collecting spec points on *this thread only*. Any previously scoped
@@ -63,26 +51,6 @@ pub fn scoped_begin() {
 /// since [`scoped_begin`].
 pub fn scoped_end() -> BTreeSet<String> {
     SCOPED.with(|tl| tl.borrow_mut().take().unwrap_or_default())
-}
-
-/// Start collecting coverage. Any previously collected points are cleared.
-pub fn enable() {
-    *lock(&COLLECTOR) = Some(BTreeSet::new());
-}
-
-/// Stop collecting coverage and return the set of points hit.
-pub fn disable() -> BTreeSet<String> {
-    lock(&COLLECTOR).take().unwrap_or_default()
-}
-
-/// The set of points hit so far (empty if collection is disabled).
-pub fn snapshot() -> BTreeSet<String> {
-    lock(&COLLECTOR).clone().unwrap_or_default()
-}
-
-/// Whether collection is currently enabled.
-pub fn is_enabled() -> bool {
-    lock(&COLLECTOR).is_some()
 }
 
 /// The embedded model sources scanned by the spec-consistency audit.
@@ -371,22 +339,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collection_round_trip() {
-        enable();
-        assert!(is_enabled());
-        spec_point("test/point_a");
-        spec_point("test/point_b");
-        spec_point("test/point_a");
-        let hits = disable();
-        assert!(hits.contains("test/point_a"));
-        assert!(hits.contains("test/point_b"));
-        assert!(!is_enabled());
-        // Disabled collection ignores hits.
-        spec_point("test/point_c");
-        assert!(snapshot().is_empty());
-    }
-
-    #[test]
     fn registry_is_nonempty_and_namespaced() {
         let reg = registry();
         assert!(reg.len() > 100, "expected a substantial number of spec points, got {}", reg.len());
@@ -410,22 +362,20 @@ mod tests {
     }
 
     #[test]
-    fn scoped_collection_is_per_thread_and_composes_with_global() {
-        enable();
+    fn scoped_collection_is_per_thread() {
         scoped_begin();
         spec_point("test/scoped_a");
-        // A point hit on another thread lands in the global collector but not
-        // in this thread's scoped set.
+        spec_point("test/scoped_b");
+        spec_point("test/scoped_a");
+        // A point hit on another thread does not land in this thread's set.
         std::thread::scope(|s| {
             s.spawn(|| spec_point("test/other_thread")).join().unwrap();
         });
         let scoped = scoped_end();
-        let global = disable();
         assert!(scoped.contains("test/scoped_a"));
+        assert!(scoped.contains("test/scoped_b"));
         assert!(!scoped.contains("test/other_thread"));
-        assert!(global.contains("test/scoped_a"));
-        assert!(global.contains("test/other_thread"));
-        // After scoped_end, scoped collection is off again.
+        // After scoped_end, collection is off again.
         spec_point("test/late");
         assert!(scoped_end().is_empty());
     }

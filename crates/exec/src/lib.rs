@@ -41,8 +41,6 @@ pub mod host;
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub use host::HostFs;
 
-use std::sync::Arc;
-
 /// The configuration name under which the host backend appears in the CLI
 /// (`sibylfs run --config host/linux`) and in survey reports.
 pub const HOST_CONFIG_NAME: &str = "host/linux";
@@ -186,69 +184,22 @@ pub fn execute_script(profile: &BehaviorProfile, script: &Script, opts: ExecOpti
     trace
 }
 
-/// Execute a whole suite of scripts on any backend.
-///
-/// Each script runs against its own fresh file system, mirroring the paper's
-/// per-script chroot jails (which the host backend realises literally).
-pub fn execute_suite_on(
-    exec: &dyn Executor,
-    scripts: &[Script],
-    opts: ExecOptions,
-) -> Result<Vec<Trace>, ExecError> {
-    scripts.iter().map(|s| exec.execute_script(s, opts)).collect()
-}
-
 /// Execute a whole suite on `workers` pool threads
 /// ([`sibylfs_core::pool::map`]), returning traces in input order.
 ///
-/// Semantics match [`execute_suite_on`]: the first failing script's error is
-/// returned (by input order, so the choice is deterministic even though later
-/// scripts may already have executed). Traces are byte-identical to the
-/// sequential path — both backends execute every script from a fresh root, so
-/// parallelism is unobservable in the results.
-pub fn execute_suite_pipelined(
-    exec: Arc<dyn Executor + Send + Sync>,
+/// Each script runs against its own fresh file system, mirroring the paper's
+/// per-script chroot jails (which the host backend realises literally), so
+/// the traces are byte-identical to a sequential loop over
+/// [`Executor::execute_script`]. The error returned is the first failing
+/// script's by input order, so the choice is deterministic even though later
+/// scripts may already have executed.
+pub fn execute_suite(
+    exec: &(dyn Executor + Sync),
     scripts: &[Script],
     opts: ExecOptions,
     workers: usize,
 ) -> Result<Vec<Trace>, ExecError> {
     pool::map(workers, scripts, |s| exec.execute_script(s, opts)).into_iter().collect()
-}
-
-/// Execute a whole suite of scripts against one simulated configuration.
-pub fn execute_suite(
-    profile: &BehaviorProfile,
-    scripts: &[Script],
-    opts: ExecOptions,
-) -> Vec<Trace> {
-    scripts.iter().map(|s| execute_script(profile, s, opts)).collect()
-}
-
-/// Summary statistics of a suite execution, reported by the performance
-/// experiment (§7.1).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExecStats {
-    /// Number of scripts executed.
-    pub scripts: usize,
-    /// Total number of libc calls across all traces.
-    pub calls: usize,
-    /// Total size of the rendered trace data in bytes.
-    pub trace_bytes: usize,
-}
-
-/// Execute a suite and gather statistics alongside the traces.
-pub fn execute_suite_with_stats(
-    profile: &BehaviorProfile,
-    scripts: &[Script],
-    opts: ExecOptions,
-) -> (Vec<Trace>, ExecStats) {
-    let traces = execute_suite(profile, scripts, opts);
-    let stats = ExecStats {
-        scripts: traces.len(),
-        calls: traces.iter().map(|t| t.call_count()).sum(),
-        trace_bytes: traces.iter().map(|t| sibylfs_script::render_trace(t).len()).sum(),
-    };
-    (traces, stats)
 }
 
 #[cfg(test)]
@@ -328,17 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_stats_add_up() {
-        let profile = configs::by_name("linux/ext4").unwrap();
-        let scripts = vec![paper_rename_script(), paper_rename_script()];
-        let (traces, stats) = execute_suite_with_stats(&profile, &scripts, ExecOptions::default());
-        assert_eq!(traces.len(), 2);
-        assert_eq!(stats.scripts, 2);
-        assert_eq!(stats.calls, 8);
-        assert!(stats.trace_bytes > 0);
-    }
-
-    #[test]
     fn sim_executor_matches_free_function() {
         let profile = configs::by_name("linux/ext4").unwrap();
         let exec = SimExecutor::new(profile.clone());
@@ -348,8 +288,8 @@ mod tests {
         let via_trait = exec.execute_script(&script, ExecOptions::default()).unwrap();
         let direct = execute_script(&profile, &script, ExecOptions::default());
         assert_eq!(via_trait, direct);
-        let suite = [paper_rename_script()];
-        let traces = execute_suite_on(&exec, &suite, ExecOptions::default()).unwrap();
-        assert_eq!(traces, execute_suite(&profile, &suite, ExecOptions::default()));
+        let suite = [paper_rename_script(), paper_rename_script()];
+        let traces = execute_suite(&exec, &suite, ExecOptions::default(), 2).unwrap();
+        assert_eq!(traces, [direct.clone(), direct]);
     }
 }

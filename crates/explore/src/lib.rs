@@ -114,10 +114,6 @@ pub struct ExploreOptions {
     pub corpus_dir: Option<PathBuf>,
     /// Bound on mutated script length, in steps.
     pub max_steps: usize,
-    /// How many mutants each worker plans per round before evaluating them,
-    /// in order, on its own thread. `1` plans each mutant only after the
-    /// previous one has been evaluated.
-    pub batch: usize,
     /// What the novelty reference starts from.
     pub baseline: BaselineMode,
     /// Print a live stats line to stderr.
@@ -136,7 +132,6 @@ impl Default for ExploreOptions {
             workers: std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2),
             corpus_dir: None,
             max_steps: 40,
-            batch: 8,
             baseline: BaselineMode::QuickSuite,
             progress: false,
         }
@@ -476,12 +471,6 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
     })
 }
 
-/// One mutant planned for batch execution.
-struct Planned {
-    child: Script,
-    provenance: Provenance,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker: usize,
@@ -496,154 +485,134 @@ fn worker_loop(
 ) {
     let worker_seed = split_seed(opts.seed, worker as u64);
     let mut iter: u64 = 0;
-    let batch_size = opts.batch.max(1);
 
-    loop {
-        // --- Plan a batch of mutants (seed chain identical to the old
-        // one-at-a-time loop: worker w, iteration i still owns
-        // split_seed(split_seed(seed, w), i)). --------------------------
-        let mut planned: Vec<Planned> = Vec::with_capacity(batch_size);
-        while planned.len() < batch_size {
-            if shared.stop.load(Ordering::Relaxed) {
+    while !shared.stop.load(Ordering::Relaxed) {
+        if let Some(b) = budget {
+            if start.elapsed() >= b {
+                shared.stop.store(true, Ordering::Relaxed);
                 break;
             }
-            if let Some(b) = budget {
-                if start.elapsed() >= b {
-                    shared.stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            if let Some(max) = opts.iterations {
-                if shared.iterations.fetch_add(1, Ordering::SeqCst) >= max {
-                    shared.iterations.fetch_sub(1, Ordering::SeqCst);
-                    shared.stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            } else {
-                shared.iterations.fetch_add(1, Ordering::SeqCst);
-            }
-            obs::m::EXPLORE_ITERATIONS_TOTAL.inc();
-
-            let derived = split_seed(worker_seed, iter);
-            let provenance =
-                Provenance { base_seed: opts.seed, worker, iter, derived_seed: derived };
-            iter += 1;
-            let mut rng = StdRng::seed_from_u64(derived);
-            let parent = {
-                let corpus = lock(&shared.corpus);
-                corpus
-                    .pick(&mut rng)
-                    .expect("the corpus is seeded before workers start")
-                    .script
-                    .clone()
-            };
-            let name = format!("explore___w{worker}_i{:05}_s{derived:016x}", provenance.iter);
-            let child = mutator.mutate(&parent, &mut rng, name);
-
-            // Static pre-exec filter: drop statically-doomed steps whose every
-            // predicted coverage key is already reached globally; skip children
-            // with no calls left. Steps predicting a *novel* key are kept, so
-            // the filter can only save executions, never coverage.
-            let repair = {
-                let global = lock(&shared.global);
-                sibylfs_analyze::repair_for_explore(&child, &global)
-            };
-            let child = match repair {
-                sibylfs_analyze::RepairOutcome::Clean => child,
-                sibylfs_analyze::RepairOutcome::Repaired(repaired, _dropped) => {
-                    shared.lint_repaired.fetch_add(1, Ordering::Relaxed);
-                    obs::m::EXPLORE_LINT_REPAIRED_TOTAL.inc();
-                    repaired
-                }
-                sibylfs_analyze::RepairOutcome::Rejected => {
-                    shared.lint_rejected.fetch_add(1, Ordering::Relaxed);
-                    obs::m::EXPLORE_LINT_REJECTED_TOTAL.inc();
-                    continue;
-                }
-            };
-            planned.push(Planned { child, provenance });
         }
-        if planned.is_empty() {
-            break; // stopped (or budget hit) with nothing left to evaluate
+        if let Some(max) = opts.iterations {
+            if shared.iterations.fetch_add(1, Ordering::SeqCst) >= max {
+                shared.iterations.fetch_sub(1, Ordering::SeqCst);
+                shared.stop.store(true, Ordering::Relaxed);
+                break;
+            }
+        } else {
+            shared.iterations.fetch_add(1, Ordering::SeqCst);
         }
+        obs::m::EXPLORE_ITERATIONS_TOTAL.inc();
 
-        // --- Evaluate the batch in claim order on this thread (novelty,
-        // divergences, and shrinking are deterministic per mutant given the
-        // shared state). ---------------------------------------------------
-        for Planned { child, provenance } in planned {
-            let _span = obs::span("explore", "explore_iter");
-            let Ok(eval) = evaluate(sim, cfg, &child) else {
-                shared.exec_errors.fetch_add(1, Ordering::Relaxed);
-                obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
-                continue;
-            };
+        // Worker w's iteration i owns split_seed(split_seed(seed, w), i).
+        let derived = split_seed(worker_seed, iter);
+        let provenance = Provenance { base_seed: opts.seed, worker, iter, derived_seed: derived };
+        iter += 1;
+        let mut rng = StdRng::seed_from_u64(derived);
+        let parent = {
+            let corpus = lock(&shared.corpus);
+            corpus
+                .pick(&mut rng)
+                .expect("the corpus is seeded before workers start")
+                .script
+                .clone()
+        };
+        let name = format!("explore___w{worker}_i{:05}_s{derived:016x}", provenance.iter);
+        let child = mutator.mutate(&parent, &mut rng, name);
 
-            // Differential mode: compare the sim verdict with the host verdict.
-            if let Some(host) = host {
-                match evaluate(host, cfg, &child) {
-                    Ok(host_eval) => {
-                        if verdict_mismatch(&eval, &host_eval) {
-                            handle_divergence(
-                                sim, host, cfg, &child, &eval, &host_eval, provenance, opts,
-                                shared,
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        shared.exec_errors.fetch_add(1, Ordering::Relaxed);
-                        obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
-                    }
-                }
+        // Static pre-exec filter: drop statically-doomed steps whose every
+        // predicted coverage key is already reached globally; skip children
+        // with no calls left. Steps predicting a *novel* key are kept, so
+        // the filter can only save executions, never coverage.
+        let repair = {
+            let global = lock(&shared.global);
+            sibylfs_analyze::repair_for_explore(&child, &global)
+        };
+        let child = match repair {
+            sibylfs_analyze::RepairOutcome::Clean => child,
+            sibylfs_analyze::RepairOutcome::Repaired(repaired, _dropped) => {
+                shared.lint_repaired.fetch_add(1, Ordering::Relaxed);
+                obs::m::EXPLORE_LINT_REPAIRED_TOTAL.inc();
+                repaired
             }
-
-            // Sim-only mode: a deviation means the simulation left the model's
-            // envelope — itself a distinguishing finding.
-            if opts.backend == Backend::Sim && !eval.checked.accepted {
-                handle_sim_deviation(sim, cfg, &child, &eval, provenance, opts, shared);
-            }
-
-            // Coverage feedback: does the child reach anything new?
-            let novel0 = {
-                let global = lock(&shared.global);
-                eval.cov.novel_versus(&global)
-            };
-            if novel0.is_empty() {
+            sibylfs_analyze::RepairOutcome::Rejected => {
+                shared.lint_rejected.fetch_add(1, Ordering::Relaxed);
+                obs::m::EXPLORE_LINT_REJECTED_TOTAL.inc();
                 continue;
             }
-            // Minimize while preserving every novel key, outside all locks.
-            let target: CoverageMap = {
-                let mut m = CoverageMap::new();
-                for k in &novel0 {
-                    m.insert(k.clone());
+        };
+
+        let _span = obs::span("explore", "explore_iter");
+        let Ok(eval) = evaluate(sim, cfg, &child) else {
+            shared.exec_errors.fetch_add(1, Ordering::Relaxed);
+            obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
+            continue;
+        };
+
+        // Differential mode: compare the sim verdict with the host verdict.
+        if let Some(host) = host {
+            match evaluate(host, cfg, &child) {
+                Ok(host_eval) => {
+                    if verdict_mismatch(&eval, &host_eval) {
+                        handle_divergence(
+                            sim, host, cfg, &child, &eval, &host_eval, provenance, opts, shared,
+                        );
+                    }
                 }
-                m
-            };
-            let minimized = shrink(&child, |cand| {
-                evaluate(sim, cfg, cand)
-                    .map(|e| target.novel_versus(&e.cov).is_empty())
-                    .unwrap_or(false)
-            });
-            let Ok(min_eval) = evaluate(sim, cfg, &minimized) else { continue };
-            let (new_keys, added) = {
-                let mut global = lock(&shared.global);
-                let new_keys = min_eval.cov.novel_versus(&global);
-                let added = global.merge(&min_eval.cov);
-                (new_keys, added)
-            };
-            if added == 0 {
-                continue; // another worker got there first
+                Err(_) => {
+                    shared.exec_errors.fetch_add(1, Ordering::Relaxed);
+                    obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
+                }
             }
-            let entry = CorpusEntry {
-                script: minimized,
-                kind: EntryKind::Coverage,
-                provenance: Some(provenance),
-                novel: new_keys,
-                accepted: min_eval.checked.accepted,
-            };
-            save_entry(entry, opts, shared);
-            shared.novel_entries.fetch_add(1, Ordering::Relaxed);
-            obs::m::EXPLORE_NOVEL_TOTAL.inc();
         }
+
+        // Sim-only mode: a deviation means the simulation left the model's
+        // envelope — itself a distinguishing finding.
+        if opts.backend == Backend::Sim && !eval.checked.accepted {
+            handle_sim_deviation(sim, cfg, &child, &eval, provenance, opts, shared);
+        }
+
+        // Coverage feedback: does the child reach anything new?
+        let novel0 = {
+            let global = lock(&shared.global);
+            eval.cov.novel_versus(&global)
+        };
+        if novel0.is_empty() {
+            continue;
+        }
+        // Minimize while preserving every novel key, outside all locks.
+        let target: CoverageMap = {
+            let mut m = CoverageMap::new();
+            for k in &novel0 {
+                m.insert(k.clone());
+            }
+            m
+        };
+        let minimized = shrink(&child, |cand| {
+            evaluate(sim, cfg, cand)
+                .map(|e| target.novel_versus(&e.cov).is_empty())
+                .unwrap_or(false)
+        });
+        let Ok(min_eval) = evaluate(sim, cfg, &minimized) else { continue };
+        let (new_keys, added) = {
+            let mut global = lock(&shared.global);
+            let new_keys = min_eval.cov.novel_versus(&global);
+            let added = global.merge(&min_eval.cov);
+            (new_keys, added)
+        };
+        if added == 0 {
+            continue; // another worker got there first
+        }
+        let entry = CorpusEntry {
+            script: minimized,
+            kind: EntryKind::Coverage,
+            provenance: Some(provenance),
+            novel: new_keys,
+            accepted: min_eval.checked.accepted,
+        };
+        save_entry(entry, opts, shared);
+        shared.novel_entries.fetch_add(1, Ordering::Relaxed);
+        obs::m::EXPLORE_NOVEL_TOTAL.inc();
     }
 }
 

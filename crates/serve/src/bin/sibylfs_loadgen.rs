@@ -44,8 +44,9 @@ options:
   -h, --help         show this help
 
 After each sweep step the server's metrics snapshot is scraped; pool
-utilization and the reorder-buffer high-water mark are embedded in the
-SIBYLFS_BENCH_JSON records.
+utilization and the reorder-depth high-water mark (replies computed but not
+yet taken by their session's writer) are embedded in the SIBYLFS_BENCH_JSON
+records.
 ";
 
 struct Args {

@@ -5,12 +5,15 @@
 //! batched across clients: a single client's burst fans out over every pool
 //! worker, and many idle sessions cost no checker threads at all.
 //!
-//! Sessions are pipelined: the reader assigns each request a sequence number
-//! and submits it, completions land in a per-session reorder buffer, and the
-//! writer drains the buffer strictly in sequence order. In-flight requests
-//! per session are bounded (`max_inflight_per_session`); at the bound the
-//! reader simply stops reading, which turns into TCP backpressure on the
-//! client rather than unbounded queue growth on the server.
+//! Sessions are pipelined: for each request the reader queues a reply slot
+//! (a one-shot channel) on the session's bounded slot queue, then answers the
+//! request or submits it to the pool, and the writer takes the slots in
+//! request order, writing each reply when it arrives. There is no reorder
+//! buffer: a reply that is ready early waits in its own slot. In-flight
+//! requests per session are bounded (`max_inflight_per_session`: the queue
+//! holds one slot fewer, the writer holds the last); at the bound the reader
+//! simply stops reading, which turns into TCP backpressure on the client
+//! rather than unbounded queue growth on the server.
 //!
 //! Robustness rules a long-lived process needs, each pinned by a test:
 //! - malformed request payloads get an in-order `Error` response; the session
@@ -23,11 +26,11 @@
 //!   for traces already admitted still completes) — a hostile client can then
 //!   only degrade service, not OOM the process.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -300,39 +303,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Per-session reply reorder buffer shared by the reader (producer via pool
-/// callbacks) and the writer (consumer, strictly in sequence order).
-struct ReplyState {
-    /// Sequence number the next accepted request will get.
-    assigned: u64,
-    /// Sequence number the writer will send next.
-    written: u64,
-    /// Completed responses waiting for their turn, keyed by sequence.
-    ready: BTreeMap<u64, Vec<u8>>,
-    /// The reader is done (EOF or fatal framing error); the writer exits
-    /// once everything assigned has been written.
-    closed: bool,
-}
+/// One request's place in its session's reply order: the writer waits here
+/// for the encoded response.
+type Slot = Receiver<Vec<u8>>;
 
-struct Session {
-    state: Mutex<ReplyState>,
-    progress: Condvar,
-}
-
-impl Session {
-    fn lock(&self) -> MutexGuard<'_, ReplyState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn complete(&self, seq: u64, resp: &Response) {
-        let payload = encode_response(resp);
-        let mut st = self.lock();
-        st.ready.insert(seq, payload);
-        obs::m::SERVE_REORDER_DEPTH.set(st.ready.len() as i64);
-        drop(st);
-        obs::m::SERVE_INFLIGHT.dec();
-        self.progress.notify_all();
-    }
+/// Answer a request through the sending end of its [`Slot`].
+fn reply(reply_to: SyncSender<Vec<u8>>, resp: &Response) {
+    let payload = encode_response(resp);
+    obs::m::SERVE_INFLIGHT.dec();
+    obs::m::SERVE_REORDER_DEPTH.inc();
+    // The writer waits on every slot the reader queued, so the receiving
+    // end is still there.
+    let _ = reply_to.send(payload);
 }
 
 /// Decrements the active-session gauge even if the session thread panics.
@@ -354,69 +336,50 @@ fn run_session(stream: TcpStream, shared: &Arc<Shared>) {
     let _gauge = SessionGauge(shared);
 
     let Ok(write_stream) = stream.try_clone() else { return };
-    let session = Arc::new(Session {
-        state: Mutex::new(ReplyState {
-            assigned: 0,
-            written: 0,
-            ready: BTreeMap::new(),
-            closed: false,
-        }),
-        progress: Condvar::new(),
-    });
-
-    let writer_session = Arc::clone(&session);
+    // The writer holds the slot whose reply it is waiting for, so the queue
+    // holds one slot fewer than the in-flight cap.
+    let (slots, queued) = sync_channel(shared.opts.max_inflight_per_session.max(1) - 1);
     let writer = std::thread::Builder::new()
         .name("sibylfs-session-writer".to_string())
-        .spawn(move || writer_loop(write_stream, &writer_session));
+        .spawn(move || writer_loop(write_stream, &queued));
 
-    reader_loop(stream, shared, &session);
-
-    let mut st = session.lock();
-    st.closed = true;
-    drop(st);
-    session.progress.notify_all();
+    reader_loop(stream, shared, &slots);
+    drop(slots);
     if let Ok(w) = writer {
         let _ = w.join();
     }
 }
 
-fn writer_loop(stream: TcpStream, session: &Session) {
+/// Write each reply in request order. The loop ends once the reader has
+/// stopped and every slot it queued has been answered.
+fn writer_loop(stream: TcpStream, slots: &Receiver<Slot>) {
     let mut out = BufWriter::new(stream);
-    loop {
-        let payload = {
-            let mut st = session.lock();
-            loop {
-                let next = st.written;
-                if let Some(p) = st.ready.remove(&next) {
-                    st.written += 1;
-                    break p;
-                }
-                if st.closed && st.written == st.assigned {
-                    return;
-                }
-                st = session.progress.wait(st).unwrap_or_else(|e| e.into_inner());
+    let mut connected = true;
+    for slot in slots {
+        let payload = match slot.recv() {
+            Ok(payload) => {
+                obs::m::SERVE_REORDER_DEPTH.dec();
+                payload
             }
+            // The check job panicked without answering; answer in its place
+            // so the replies after it keep their order.
+            Err(_) => encode_response(&Response::Error {
+                line: 0,
+                col: 0,
+                message: "internal error: the check failed".to_string(),
+            }),
         };
-        session.progress.notify_all(); // free a backpressure slot
-        obs::m::SERVE_BYTES_OUT_TOTAL.add(4 + payload.len() as u64);
-        if write_frame(&mut out, &payload).and_then(|()| out.flush()).is_err() {
-            // The client went away mid-reply; drain silently so the reader's
-            // in-flight checks still complete and the session can unwind.
-            let mut st = session.lock();
-            st.written = st.assigned;
-            st.ready.clear();
-            let closed = st.closed;
-            drop(st);
-            // Free any reader blocked on a backpressure slot.
-            session.progress.notify_all();
-            if closed {
-                return;
-            }
+        if connected {
+            obs::m::SERVE_BYTES_OUT_TOTAL.add(4 + payload.len() as u64);
+            // If the client went away mid-reply, only drain from here on, so
+            // the reader's in-flight checks still complete and the session
+            // can unwind.
+            connected = write_frame(&mut out, &payload).and_then(|()| out.flush()).is_ok();
         }
     }
 }
 
-fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) {
+fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, slots: &SyncSender<Slot>) {
     let mut input = BufReader::new(stream);
     loop {
         let frame = match read_frame(&mut input) {
@@ -429,54 +392,37 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) 
         obs::m::SERVE_BYTES_IN_TOTAL.add(4 + frame.len() as u64);
         obs::m::SERVE_REQUESTS_TOTAL.inc();
 
-        // Backpressure: wait for an in-flight slot before accepting work.
-        let seq = {
-            let mut st = session.lock();
-            while (st.assigned - st.written) as usize
-                >= shared.opts.max_inflight_per_session.max(1)
-            {
-                st = session.progress.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            let seq = st.assigned;
-            st.assigned += 1;
-            seq
-        };
+        // Backpressure: queue the request's slot before doing its work. The
+        // queue is full while `max_inflight_per_session` replies are
+        // unwritten, and then the reader waits here instead of reading.
+        let (reply_to, slot) = sync_channel(1);
+        if slots.send(slot).is_err() {
+            return; // the writer thread never started
+        }
         obs::m::SERVE_INFLIGHT.inc();
 
         match decode_request(&frame) {
-            Err(e @ ProtocolError::BadTag(_)) | Err(e @ ProtocolError::Malformed(_)) => {
-                // Payload-level garbage: answer in order and keep the
-                // session; framing is still intact.
-                shared.errors_total.fetch_add(1, Ordering::Relaxed);
-                obs::m::SERVE_ERRORS_TOTAL.inc();
-                obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Error {
-                    line: 0,
-                    col: 0,
-                    message: e.to_string(),
-                });
-            }
             Err(e) => {
                 shared.errors_total.fetch_add(1, Ordering::Relaxed);
                 obs::m::SERVE_ERRORS_TOTAL.inc();
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Error {
-                    line: 0,
-                    col: 0,
-                    message: e.to_string(),
-                });
-                return;
+                reply(reply_to, &Response::Error { line: 0, col: 0, message: e.to_string() });
+                // Payload-level garbage keeps the session, since framing is
+                // still intact; any other error ends it.
+                if !matches!(e, ProtocolError::BadTag(_) | ProtocolError::Malformed(_)) {
+                    return;
+                }
             }
             Ok(Request::Stats) => {
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::StatsLine(shared.stats_line()));
+                reply(reply_to, &Response::StatsLine(shared.stats_line()));
             }
             Ok(Request::Metrics) => {
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Metrics(obs::snapshot().render()));
+                reply(reply_to, &Response::Metrics(obs::snapshot().render()));
             }
             Ok(Request::Check { config, trace_text }) => {
-                handle_check(shared, session, seq, started, &config, &trace_text);
+                handle_check(shared, reply_to, started, &config, &trace_text);
             }
         }
     }
@@ -484,27 +430,27 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) 
 
 fn handle_check(
     shared: &Arc<Shared>,
-    session: &Arc<Session>,
-    seq: u64,
+    reply_to: SyncSender<Vec<u8>>,
     started: Instant,
     config: &str,
     trace_text: &str,
 ) {
-    let reject = |message: String, line: u32, col: u32| {
+    let reject = |reply_to, message: String, line: u32, col: u32| {
         shared.errors_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_ERRORS_TOTAL.inc();
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-        session.complete(seq, &Response::Error { line, col, message });
+        reply(reply_to, &Response::Error { line, col, message });
     };
 
     let cfg = match parse_spec_config(config) {
         Ok(cfg) => cfg,
-        Err(e) => return reject(format!("bad config: {e}"), 0, 0),
+        Err(e) => return reject(reply_to, format!("bad config: {e}"), 0, 0),
     };
     // Order matters: name-length and interner-budget gates run before
     // parse_trace, because parsing is what interns path components.
     if let Some(len) = oversized_name_len(trace_text, shared.opts.max_name_len) {
         return reject(
+            reply_to,
             format!(
                 "name of {len} bytes exceeds the {}-byte limit",
                 shared.opts.max_name_len
@@ -515,6 +461,7 @@ fn handle_check(
     }
     if shared.intern_budget_exceeded() {
         return reject(
+            reply_to,
             "interner budget exceeded; the server is refusing new names".to_string(),
             0,
             0,
@@ -524,6 +471,7 @@ fn handle_check(
         Ok(t) => t,
         Err(e) => {
             return reject(
+                reply_to,
                 e.message.clone(),
                 u32::try_from(e.line).unwrap_or(u32::MAX),
                 u32::try_from(e.col).unwrap_or(u32::MAX),
@@ -532,12 +480,11 @@ fn handle_check(
     };
 
     let checked_total = Arc::clone(&shared.checked_total);
-    let done_session = Arc::clone(session);
     let opts = shared.opts.check;
     shared.pool.submit(move || {
         let checked = check_trace(&cfg, &trace, opts);
         checked_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-        done_session.complete(seq, &Response::Verdict(render_checked_trace(&checked)));
+        reply(reply_to, &Response::Verdict(render_checked_trace(&checked)));
     });
 }

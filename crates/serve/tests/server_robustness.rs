@@ -7,9 +7,11 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sibylfs_check::{check_trace, render_checked_trace, CheckOptions};
+use sibylfs_core::commands::OsCommand;
+use sibylfs_core::flags::FileMode;
 use sibylfs_exec::{execute_script, ExecOptions};
 use sibylfs_fsimpl::configs;
-use sibylfs_script::{parse_trace, render_trace};
+use sibylfs_script::{parse_trace, render_trace, Script};
 use sibylfs_serve::protocol::{
     encode_request, parse_spec_config, read_frame, write_frame, Request, MAX_FRAME_LEN,
 };
@@ -48,6 +50,24 @@ fn verdicts_match_batch_checking_bit_for_bit() {
         assert_eq!(remote, local);
         assert!(remote.contains("# Verdict: accepted"), "loadgen corpus must check cleanly");
     }
+}
+
+#[test]
+fn non_root_configs_are_checked_from_an_unprivileged_process() {
+    // Run as an unprivileged initial process, `mkdir "/d"` fails with
+    // EACCES: only a non-root check accepts that.
+    let profile = configs::by_name("linux/tmpfs").unwrap();
+    let mut script = Script::new("mkdir___non_root", "mkdir");
+    script.call(OsCommand::Mkdir("/d".into(), FileMode::new(0o777)));
+    let text = render_trace(&execute_script(&profile, &script, ExecOptions { root_user: false }));
+    let cfg = parse_spec_config("linux,non-root").unwrap();
+    let checked = check_trace(&cfg, &parse_trace(&text).unwrap(), CheckOptions::default());
+    let local = render_checked_trace(&checked);
+    assert!(local.contains("# Verdict: accepted"), "{local}");
+
+    let server = start(ServeOptions::default()).unwrap();
+    let mut client = BlockingClient::connect_tcp(server.addr()).unwrap();
+    assert_eq!(client.check("linux,non-root", &text).unwrap(), Response::Verdict(local));
 }
 
 #[test]

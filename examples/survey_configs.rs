@@ -26,7 +26,8 @@ fn main() {
     let mut summaries = Vec::new();
     for name in selection {
         let profile = configs::by_name(name).expect("registered configuration");
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile.clone());
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
         let spec = SpecConfig::standard(profile.platform);
         let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
         eprintln!(

@@ -16,9 +16,9 @@
 
 use sibylfs::check::{check_trace, CheckOptions, CheckedTrace, Deviation};
 use sibylfs::model::flavor::{Flavor, SpecConfig};
-use sibylfs::exec::{execute_suite_on, ExecOptions, SimExecutor};
+use sibylfs::exec::{execute_suite, ExecOptions, Executor, SimExecutor};
 use sibylfs::fsimpl::configs;
-use sibylfs::script::Script;
+use sibylfs::script::{Script, Trace};
 use sibylfs::testgen::{generate_suite, SuiteOptions};
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -95,7 +95,7 @@ fn quick_suite() -> Vec<Script> {
     generate_suite(SuiteOptions::quick())
 }
 
-fn check_all(traces: &[sibylfs::script::Trace], cfg: &SpecConfig) -> Vec<CheckedTrace> {
+fn check_all(traces: &[Trace], cfg: &SpecConfig) -> Vec<CheckedTrace> {
     traces.iter().map(|t| check_trace(cfg, t, CheckOptions::default())).collect()
 }
 
@@ -105,7 +105,8 @@ fn check_all(traces: &[sibylfs::script::Trace], cfg: &SpecConfig) -> Vec<Checked
 fn sim_quick_suite_checks_clean_on_linux_tmpfs() {
     let suite = quick_suite();
     let sim = SimExecutor::new(configs::by_name("linux/tmpfs").unwrap());
-    let traces = execute_suite_on(&sim, &suite, ExecOptions::default()).unwrap();
+    let traces: Vec<Trace> =
+        suite.iter().map(|s| sim.execute_script(s, ExecOptions::default()).unwrap()).collect();
     let checked = check_all(&traces, &SpecConfig::standard(Flavor::Linux));
     let failing: Vec<_> = checked.iter().filter(|c| !c.accepted).collect();
     assert!(
@@ -131,13 +132,12 @@ fn host_quick_suite_checks_clean_modulo_known_divergences() {
         return;
     }
     let suite = quick_suite();
-    // The suite runs through the streaming pipeline on a pool of persistent
-    // pre-jailed workers — the production host path (equivalence with a
-    // fresh worker per script is asserted by `tests/pipeline_equivalence.rs`).
-    let host = std::sync::Arc::new(HostFs::pooled(4));
-    let traces =
-        sibylfs::exec::execute_suite_pipelined(host, &suite, ExecOptions::default(), 4)
-            .expect("host execution of the quick suite");
+    // The suite runs on 4 pool threads over a pool of persistent pre-jailed
+    // workers — the production host path (equivalence with a fresh worker
+    // per script is asserted by `tests/pipeline_equivalence.rs`).
+    let host = HostFs::pooled(4);
+    let traces = execute_suite(&host, &suite, ExecOptions::default(), 4)
+        .expect("host execution of the quick suite");
     assert_eq!(traces.len(), suite.len());
 
     let cfg = SpecConfig::standard(Flavor::Linux);
@@ -208,11 +208,11 @@ fn host_and_sim_agree_on_most_traces() {
         return;
     }
     let suite = quick_suite();
-    let host = std::sync::Arc::new(HostFs::pooled(4));
+    let host = HostFs::pooled(4);
     let sim = SimExecutor::new(configs::by_name("linux/tmpfs").unwrap());
-    let host_traces =
-        sibylfs::exec::execute_suite_pipelined(host, &suite, ExecOptions::default(), 4).unwrap();
-    let sim_traces = execute_suite_on(&sim, &suite, ExecOptions::default()).unwrap();
+    let host_traces = execute_suite(&host, &suite, ExecOptions::default(), 4).unwrap();
+    let sim_traces: Vec<Trace> =
+        suite.iter().map(|s| sim.execute_script(s, ExecOptions::default()).unwrap()).collect();
     let total = suite.len();
     let mut identical = 0usize;
     let mut first_diff = None;

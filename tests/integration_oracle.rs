@@ -15,7 +15,8 @@ fn standard_linux_configurations_are_almost_entirely_accepted() {
     let suite = test_suite();
     for name in ["linux/ext4", "linux/ext3", "linux/ext2", "linux/tmpfs"] {
         let profile = configs::by_name(name).unwrap();
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile.clone());
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
         let spec = SpecConfig::standard(Flavor::Linux);
         let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
         let failing: Vec<_> = checked.iter().filter(|c| !c.accepted).collect();
@@ -48,7 +49,8 @@ fn the_posix_envelope_accepts_every_well_behaved_platform() {
     assert!(!suite.is_empty());
     for name in ["linux/ext4", "mac/nfsv3-hfsplus", "freebsd/tmpfs"] {
         let profile = configs::by_name(name).unwrap();
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile.clone());
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
         let spec = SpecConfig::standard(Flavor::Posix);
         let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
         let failing: Vec<_> = checked.iter().filter(|c| !c.accepted).take(3).collect();
@@ -66,7 +68,8 @@ fn the_posix_envelope_accepts_every_well_behaved_platform() {
 fn checking_a_configuration_against_the_wrong_platform_model_finds_differences() {
     let suite = test_suite();
     let profile = configs::by_name("linux/ext4").unwrap();
-    let traces = execute_suite(&profile, &suite, ExecOptions::default());
+    let sim = SimExecutor::new(profile.clone());
+    let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
     let (_, native) = check_traces_parallel(
         &SpecConfig::standard(Flavor::Linux),
         &traces,
@@ -101,7 +104,8 @@ fn defective_configurations_produce_their_signature_deviations() {
     for (config, function) in expectations {
         let profile = configs::by_name(config).unwrap();
         let spec = SpecConfig::standard(profile.platform);
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile.clone());
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
         let (checked, _) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
         let summary = summarize_run(config, profile.platform.name(), &checked);
         assert!(
@@ -118,7 +122,8 @@ fn report_merging_identifies_configuration_specific_behaviour() {
     let mut summaries = Vec::new();
     for name in ["linux/ext4", "linux/tmpfs", "linux/sshfs-tmpfs"] {
         let profile = configs::by_name(name).unwrap();
-        let traces = execute_suite(&profile, &suite, ExecOptions::default());
+        let sim = SimExecutor::new(profile.clone());
+        let traces = execute_suite(&sim, &suite, ExecOptions::default(), 4).unwrap();
         let spec = SpecConfig::standard(Flavor::Linux);
         let (checked, _) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
         summaries.push(summarize_run(name, "linux", &checked));

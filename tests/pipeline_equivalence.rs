@@ -1,8 +1,8 @@
 //! Pooled execution must be a pure performance change: for every backend,
-//! the traces (and therefore the verdicts) coming out of
-//! `execute_suite_pipelined`'s worker threads — and, on the host, out of the
-//! persistent pre-jailed worker pool — must be byte-identical to the plain
-//! sequential path, in the same order. On the host that reference runs each
+//! the traces (and therefore the verdicts) coming out of `execute_suite`'s
+//! pool threads — and, on the host, out of the persistent pre-jailed worker
+//! pool — must be byte-identical to a plain sequential loop, in the same
+//! order. On the host that reference runs each
 //! script on its own freshly forked worker, whose jail was never reset.
 //!
 //! The corpus deliberately mixes the three script populations with different
@@ -11,10 +11,8 @@
 //! (multi-process interleavings, where any cross-script state leak or
 //! reordering would be loudest).
 
-use std::sync::Arc;
-
 use sibylfs::check::{check_trace, CheckOptions, CheckedTrace};
-use sibylfs::exec::{execute_suite_on, execute_suite_pipelined, ExecOptions, SimExecutor};
+use sibylfs::exec::{execute_suite, ExecOptions, Executor, SimExecutor};
 use sibylfs::fsimpl::configs;
 use sibylfs::model::flavor::{Flavor, SpecConfig};
 use sibylfs::script::{render_trace, Script, Trace};
@@ -23,7 +21,7 @@ use sibylfs::testgen::sequences::model_gap_scripts;
 use sibylfs::testgen::{generate_suite, SuiteOptions};
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-use sibylfs::exec::{Executor, HostFs};
+use sibylfs::exec::HostFs;
 
 /// Quick suite + model-gap scripts + contention families.
 fn corpus() -> Vec<Script> {
@@ -57,10 +55,11 @@ fn sim_pipeline_is_byte_identical_to_sequential() {
     let opts = ExecOptions::default();
 
     let sim = SimExecutor::new(profile.clone());
-    let sequential = execute_suite_on(&sim, &scripts, opts).unwrap();
+    let sequential: Vec<Trace> =
+        scripts.iter().map(|s| sim.execute_script(s, opts).unwrap()).collect();
     for workers in [1, 4] {
-        let exec = Arc::new(SimExecutor::new(profile.clone()));
-        let pipelined = execute_suite_pipelined(exec, &scripts, opts, workers).unwrap();
+        let exec = SimExecutor::new(profile.clone());
+        let pipelined = execute_suite(&exec, &scripts, opts, workers).unwrap();
         assert_traces_identical(&sequential, &pipelined, &format!("sim, {workers} worker(s)"));
 
         let cfg = SpecConfig::standard(Flavor::Linux);
@@ -89,8 +88,8 @@ fn host_pool_pipeline_is_byte_identical_to_cold_forks() {
     let sequential: Vec<Trace> =
         scripts.iter().map(|s| HostFs::pooled(1).execute_script(s, opts).unwrap()).collect();
     for workers in [1, 4] {
-        let pooled = Arc::new(HostFs::pooled(workers));
-        let pipelined = execute_suite_pipelined(pooled, &scripts, opts, workers).unwrap();
+        let pooled = HostFs::pooled(workers);
+        let pipelined = execute_suite(&pooled, &scripts, opts, workers).unwrap();
         assert_traces_identical(&sequential, &pipelined, &format!("host, {workers} worker(s)"));
 
         let cfg = SpecConfig::standard(Flavor::Linux);

@@ -269,7 +269,7 @@ fn shifted_line_numbers_do_not_resume() {
 fn a_shared_prefix_that_hits_the_state_bound_resumes_like_fresh() {
     let _serial = serial();
     let cfg = SpecConfig::standard(Flavor::Linux);
-    let opts = CheckOptions { root_user: true, max_states: 1 };
+    let opts = CheckOptions { max_states: 1 };
     let mut a = two_process_prefix("bounded_a");
     a.push_label(OsLabel::Return(INITIAL_PID, rv_none()));
     a.push_call_return(
@@ -301,7 +301,7 @@ fn a_shared_prefix_that_empties_the_state_set_resumes_like_fresh() {
     let cfg = SpecConfig::standard(Flavor::Linux);
     // With a bound of 0, every step truncates the set to nothing and the
     // checker restarts from a fresh initial state.
-    let opts = CheckOptions { root_user: true, max_states: 0 };
+    let opts = CheckOptions { max_states: 0 };
     let a = linear("empty_a", &["/a", "/b"], "/a/x");
     let b = linear("empty_b", &["/a", "/b", "/c"], "/c/x");
     let seen = pairwise(&cfg, opts, &[&a, &b, &a]);

@@ -79,8 +79,7 @@ struct RefChecked {
 }
 
 fn ref_check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> RefChecked {
-    let init_cfg = SpecConfig { root_user: opts.root_user, ..*cfg };
-    let mut states: Vec<OsState> = vec![OsState::initial_with_process(&init_cfg, INITIAL_PID)];
+    let mut states: Vec<OsState> = vec![OsState::initial_with_process(cfg, INITIAL_PID)];
     let mut verdicts = Vec::new();
     let mut deviations = Vec::new();
     let mut set_sizes = Vec::new();
@@ -167,7 +166,7 @@ fn ref_check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> RefCh
             states.truncate(opts.max_states);
         }
         if states.is_empty() {
-            states = vec![OsState::initial_with_process(&init_cfg, INITIAL_PID)];
+            states = vec![OsState::initial_with_process(cfg, INITIAL_PID)];
         }
     }
 
