@@ -35,12 +35,6 @@ pub fn suite_from_args(args: &[String]) -> Vec<Script> {
 
 /// The result of executing and checking one configuration.
 pub struct ConfigRun {
-    /// The configuration that was tested. For the host backend this is a
-    /// synthetic descriptive profile (there is no simulated behaviour model
-    /// of the real kernel — that is the point).
-    pub profile: BehaviorProfile,
-    /// The flavour it was checked against.
-    pub flavor: Flavor,
     /// Checking statistics; execution and checking share the workers, so
     /// the wall time covers both.
     pub check_stats: SuiteCheckStats,
@@ -78,12 +72,6 @@ pub fn executor_for_config(name: &str, exec_workers: usize) -> Option<(SharedExe
     Some((Arc::new(SimExecutor::new(profile)) as SharedExecutor, flavor))
 }
 
-/// The descriptive pseudo-profile used to report host-backend runs.
-pub fn host_profile() -> BehaviorProfile {
-    BehaviorProfile::baseline(HOST_CONFIG_NAME, Flavor::Linux)
-        .describe("the real host kernel via per-script chroot jails")
-}
-
 /// Execute the suite on any backend and check the traces against the given
 /// flavour of the specification.
 ///
@@ -93,11 +81,6 @@ pub fn host_profile() -> BehaviorProfile {
 /// resumes a trace from the prefix it shares with that thread's previous one.
 /// Results keep suite order and are byte-identical to executing everything,
 /// then checking everything; the error returned is the first by suite order.
-///
-/// `ConfigRun::profile` is resolved from the executor's configuration name
-/// (registry lookup, or the host pseudo-profile); callers that already hold
-/// the exact profile should use [`run_config`], which threads it through
-/// unchanged.
 pub fn run_executor(
     exec: SharedExecutor,
     flavor: Flavor,
@@ -123,21 +106,7 @@ pub fn run_executor(
     let check_stats = SuiteCheckStats::from_results(&checked, start.elapsed(), workers);
 
     let summary = summarize_run_for_backend(&config_name, flavor.name(), backend_name, &checked);
-    let profile = configs::by_name(&config_name).unwrap_or_else(host_profile);
-    Ok(ConfigRun { profile, flavor, check_stats, checked, summary })
-}
-
-/// Execute the suite on a simulated configuration and check the traces
-/// against the given flavour of the specification.
-pub fn run_config(
-    profile: &BehaviorProfile,
-    flavor: Flavor,
-    suite: &[Script],
-    workers: usize,
-) -> ConfigRun {
-    let exec = Arc::new(SimExecutor::new(profile.clone()));
-    let run = run_executor(exec, flavor, suite, workers).expect("the simulation is infallible");
-    ConfigRun { profile: profile.clone(), ..run }
+    Ok(ConfigRun { check_stats, checked, summary })
 }
 
 /// Look up a configuration or exit with a helpful message.
@@ -179,31 +148,17 @@ mod tests {
     }
 
     #[test]
-    fn run_config_produces_consistent_counts() {
+    fn run_executor_produces_consistent_counts() {
         let mut opts = SuiteOptions::quick();
         opts.random_scripts = 0;
         let suite: Vec<Script> = generate_suite(opts).into_iter().take(50).collect();
-        let profile = configs::by_name("linux/ext4").unwrap();
-        let run = run_config(&profile, Flavor::Linux, &suite, 2);
+        let (exec, flavor) = executor_for_config("linux/ext4", DEFAULT_WORKERS).unwrap();
+        let run = run_executor(exec, flavor, &suite, 2).unwrap();
         assert_eq!(run.checked.len(), 50);
         assert_eq!(run.summary.traces, 50);
         assert_eq!(run.summary.accepted + run.summary.failing, 50);
         assert_eq!(run.summary.backend, "sim");
         assert!(run.check_stats.traces_per_sec > 0.0);
-    }
-
-    #[test]
-    fn run_config_threads_custom_profiles_through_unchanged() {
-        // A profile not in the registry (or modified from it) must come back
-        // verbatim in ConfigRun::profile, not a registry/pseudo substitute.
-        let mut custom = configs::by_name("linux/ext4").unwrap();
-        custom.name = "linux/ext4-patched".to_string();
-        custom.supports_dir_nlink = false;
-        let suite: Vec<Script> =
-            generate_suite(SuiteOptions::quick()).into_iter().take(5).collect();
-        let run = run_config(&custom, Flavor::Linux, &suite, 1);
-        assert_eq!(run.profile, custom);
-        assert_eq!(run.summary.config, "linux/ext4-patched");
     }
 
     #[test]
@@ -236,7 +191,6 @@ mod tests {
         assert_eq!(run.summary.backend, "host");
         assert_eq!(run.summary.config, HOST_CONFIG_NAME);
         assert_eq!(run.summary.traces, 10);
-        assert_eq!(run.profile.name, HOST_CONFIG_NAME);
     }
 
     #[test]

@@ -11,7 +11,9 @@ use sibylfs_cli::{executor_for_config, run_executor, suite_from_args, DEFAULT_WO
 use sibylfs_core::flavor::Flavor;
 use sibylfs_exec::{host_backend_available, ExecError, ExecOptions, HOST_CONFIG_NAME};
 use sibylfs_fsimpl::configs;
-use sibylfs_report::{merge_runs, render_merged_markdown, render_run_markdown};
+use sibylfs_report::{
+    merge_runs, render_findings_markdown, render_merged_markdown, render_run_markdown,
+};
 use sibylfs_script::{parse_script, parse_trace, render_script, render_trace};
 use sibylfs_testgen::summarize_suite;
 
@@ -136,6 +138,33 @@ fn opt_value(args: &[String], name: &str) -> Option<String> {
     }
 }
 
+/// The value following a numeric `--flag`, if the flag is present; a value
+/// that does not parse is an error.
+fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    opt_value(args, flag).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("flag {flag} requires a number, got {v:?}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// The positional arguments: every token that is neither a `--flag` nor the
+/// value following one of `value_flags`. A file may share its name with a
+/// flag's value.
+fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+    let mut files = Vec::new();
+    let mut tokens = args.iter();
+    while let Some(a) = tokens.next() {
+        if value_flags.contains(&a.as_str()) {
+            tokens.next();
+        } else if !a.starts_with("--") {
+            files.push(a);
+        }
+    }
+    files
+}
+
 fn flavor_from(args: &[String]) -> Flavor {
     match opt_value(args, "--flavor") {
         Some(f) => f.parse().unwrap_or_else(|e| {
@@ -184,6 +213,23 @@ fn read_or_exit(file: &str) -> String {
     })
 }
 
+/// Write each `(file name, text)` into `dir`, creating it first, exiting with
+/// a diagnostic (not a panic) on failure.
+fn write_files_or_exit(dir: &str, files: impl IntoIterator<Item = (String, String)>) {
+    let dir = PathBuf::from(dir);
+    if let Err(e) = fs::create_dir_all(&dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        std::process::exit(2);
+    }
+    for (name, text) in files {
+        let path = dir.join(name);
+        if let Err(e) = fs::write(&path, text) {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
+}
+
 fn exec_error_exit(e: ExecError) -> ! {
     eprintln!("{e}");
     std::process::exit(2);
@@ -193,12 +239,10 @@ fn cmd_gen(args: &[String]) {
     let suite = suite_from_args(args);
     let summary = summarize_suite(&suite);
     if let Some(dir) = opt_value(args, "--out") {
-        let dir = PathBuf::from(dir);
-        fs::create_dir_all(&dir).expect("create output directory");
-        for script in &suite {
-            let path = dir.join(format!("{}.script", script.name));
-            fs::write(path, render_script(script)).expect("write script file");
-        }
+        write_files_or_exit(
+            &dir,
+            suite.iter().map(|s| (format!("{}.script", s.name), render_script(s))),
+        );
         println!("wrote {} scripts to disk", summary.total);
     }
     println!("generated {} scripts ({} libc calls)", summary.total, summary.calls);
@@ -244,12 +288,10 @@ fn cmd_run(args: &[String]) {
     let run = run_executor(executor, flavor, &suite, exec_workers)
         .unwrap_or_else(|e| exec_error_exit(e));
     if let Some(dir) = opt_value(args, "--out") {
-        let dir = PathBuf::from(dir);
-        fs::create_dir_all(&dir).expect("create output directory");
-        for checked in &run.checked {
-            let path = dir.join(format!("{}.checked", checked.name));
-            fs::write(path, render_checked_trace(checked)).expect("write checked trace");
-        }
+        write_files_or_exit(
+            &dir,
+            run.checked.iter().map(|c| (format!("{}.checked", c.name), render_checked_trace(c))),
+        );
     }
     print!("{}", render_run_markdown(&run.summary));
     println!(
@@ -268,19 +310,7 @@ fn cmd_check(args: &[String]) {
     let cfg = sibylfs_core::flavor::SpecConfig::standard(flavor).with_por(por_from(args));
     let remote = opt_value(args, "--remote");
     let trace_out = trace_out_from(args);
-    let timings = args.iter().any(|a| a == "--timings");
-    let flag_values = [
-        opt_value(args, "--flavor"),
-        opt_value(args, "--por"),
-        remote.clone(),
-        opt_value(args, "--trace-out"),
-    ];
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            !a.starts_with("--") && !flag_values.iter().any(|v| v.as_deref() == Some(a.as_str()))
-        })
-        .collect();
+    let files = positional(args, &["--flavor", "--por", "--remote", "--trace-out"]);
     if files.is_empty() {
         eprintln!("no trace files given");
         std::process::exit(2);
@@ -306,11 +336,7 @@ fn cmd_check(args: &[String]) {
         print!("{}", render_checked_trace(&checked));
         println!();
     }
-    if timings {
-        let mut snap = sibylfs_core::obs::snapshot();
-        snap.retain_nonzero();
-        print!("{}", snap.render());
-    }
+    print_timings_if_asked(args);
     if let Some(path) = &trace_out {
         write_trace_or_exit(path);
     }
@@ -369,15 +395,6 @@ fn check_remote(addr: &str, cfg: &sibylfs_core::flavor::SpecConfig, files: &[&St
 fn cmd_serve(args: &[String]) {
     use sibylfs_serve::ServeOptions;
 
-    fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        opt_value(args, flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("flag {flag} requires a number, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-    }
-
     let mut opts = ServeOptions {
         addr: opt_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7788".to_string()),
         ..Default::default()
@@ -431,17 +448,7 @@ fn cmd_exec(args: &[String]) {
         unreachable!("config_or_exit exits for unknown names");
     };
     let trace_out = trace_out_from(args);
-    let flag_values = [
-        opt_value(args, "--config"),
-        opt_value(args, "--trace-out"),
-        opt_value(args, "--exec-workers"),
-    ];
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            !a.starts_with("--") && !flag_values.iter().any(|v| v.as_deref() == Some(a.as_str()))
-        })
-        .collect();
+    let files = positional(args, &["--config", "--trace-out", "--exec-workers"]);
     let scripts: Vec<sibylfs_script::Script> = files
         .iter()
         .map(|file| {
@@ -471,15 +478,6 @@ fn cmd_exec(args: &[String]) {
 
 fn cmd_explore(args: &[String]) {
     use sibylfs_explore::{explore, Backend, ExploreOptions};
-
-    fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        opt_value(args, flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("flag {flag} requires a number, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-    }
 
     let mut opts = ExploreOptions::default();
     if let Some(config) = opt_value(args, "--config") {
@@ -616,20 +614,8 @@ fn cmd_audit(args: &[String]) {
 fn cmd_bench_diff(args: &[String]) {
     use sibylfs_cli::bench_diff::{diff_benches, parse_bench_json, render_diff};
 
-    let max_regression = match opt_value(args, "--max-regression") {
-        Some(v) => v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("flag --max-regression requires a number of percent, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => 10.0,
-    };
-    let flag_values = [opt_value(args, "--max-regression")];
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            !a.starts_with("--") && !flag_values.iter().any(|v| v.as_deref() == Some(a.as_str()))
-        })
-        .collect();
+    let max_regression = num::<f64>(args, "--max-regression").unwrap_or(10.0);
+    let files = positional(args, &["--max-regression"]);
     let [old_file, new_file] = files.as_slice() else {
         eprintln!("bench-diff needs exactly two files: OLD NEW (got {})", files.len());
         std::process::exit(2);
@@ -662,8 +648,8 @@ fn cmd_survey(args: &[String]) {
         let run = run_executor(exec, flavor, &suite, DEFAULT_WORKERS)
             .expect("the simulation is infallible");
         eprintln!(
-            "checked {:40} {:5}/{:5} accepted",
-            profile.name, run.summary.accepted, run.summary.traces
+            "checked {:40} {:5}/{:5} accepted ({} deviations)",
+            profile.name, run.summary.accepted, run.summary.traces, run.summary.deviations
         );
         summaries.push(run.summary);
     }
@@ -676,8 +662,11 @@ fn cmd_survey(args: &[String]) {
             match run_executor(executor, flavor, &suite, DEFAULT_WORKERS) {
                 Ok(run) => {
                     eprintln!(
-                        "checked {:40} {:5}/{:5} accepted [host backend]",
-                        HOST_CONFIG_NAME, run.summary.accepted, run.summary.traces
+                        "checked {:40} {:5}/{:5} accepted ({} deviations) [host backend]",
+                        HOST_CONFIG_NAME,
+                        run.summary.accepted,
+                        run.summary.traces,
+                        run.summary.deviations
                     );
                     summaries.push(run.summary);
                 }
@@ -689,4 +678,5 @@ fn cmd_survey(args: &[String]) {
     }
     let merged = merge_runs(summaries);
     print!("{}", render_merged_markdown(&merged));
+    print!("{}", render_findings_markdown(&merged));
 }

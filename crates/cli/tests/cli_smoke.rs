@@ -95,6 +95,74 @@ fn gen_out_flag_must_not_eat_the_next_flag_as_its_value() {
 }
 
 #[test]
+fn out_directory_errors_exit_2_without_a_panic() {
+    let dir = temp_dir("out-errors");
+    let file = dir.join("regular-file");
+    write(&file, "not a directory");
+    let under_file = file.join("out");
+    for args in [
+        vec!["gen", "--quick", "--out", under_file.to_str().unwrap()],
+        vec!["run", "--config", "linux/ext4", "--quick", "--out", under_file.to_str().unwrap()],
+    ] {
+        let out = run(&args);
+        assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).starts_with("cannot create "), "{args:?}: {}", stderr(&out));
+    }
+
+    // A directory in the place of the first script file.
+    use sibylfs_testgen::{generate_suite, SuiteOptions};
+    let first = &generate_suite(SuiteOptions::quick())[0];
+    let out_dir = dir.join("scripts");
+    std::fs::create_dir_all(out_dir.join(format!("{}.script", first.name))).unwrap();
+    let out = run(&["gen", "--quick", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).starts_with("cannot write "), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file may be named like a flag's value: `check --flavor linux t.trace
+/// linux` checks both files, and `exec --exec-workers 2 t.script 2` runs
+/// both scripts.
+#[test]
+fn files_named_like_a_flag_value_are_not_dropped() {
+    let dir = temp_dir("flag-value-names");
+    let in_dir = |args: &[&str]| {
+        Command::new(bin()).args(args).current_dir(&dir).output().expect("spawn sibylfs binary")
+    };
+    let script = "@type script\n# Test names___smoke\nmkdir \"d\" 0o755\nstat \"d\"\n";
+    write(&dir.join("t.script"), script);
+    write(&dir.join("2"), script);
+    let out = in_dir(&["exec", "--exec-workers", "2", "t.script", "2"]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out).matches("@type trace").count(), 2, "{}", stdout(&out));
+
+    let trace = stdout(&in_dir(&["exec", "t.script"]));
+    write(&dir.join("t.trace"), &trace);
+    write(&dir.join("linux"), &trace);
+    let out = in_dir(&["check", "--flavor", "linux", "t.trace", "linux"]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out).matches("# Verdict:").count(), 2, "{}", stdout(&out));
+    let out = in_dir(&["check", "--flavor", "linux", "linux"]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out).matches("# Verdict:").count(), 1, "{}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `survey` merges every configuration's run into one table with each
+/// configuration's acceptance rate, then checks off the §7.3 findings.
+#[test]
+fn survey_reports_acceptance_and_reproduces_every_finding() {
+    let out = run(&["survey", "--quick"]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("| deviations | accepted % |"), "{text}");
+    assert!(text.contains("| linux/ext4 | sim | linux |"), "{text}");
+    assert_eq!(text.matches("* [reproduced] ").count(), 8, "{text}");
+    assert!(!text.contains("NOT reproduced"), "{text}");
+    assert!(stderr(&out).contains(" deviations)"), "{}", stderr(&out));
+}
+
+#[test]
 fn exec_then_check_round_trips_through_the_binary() {
     let dir = temp_dir("exec-check");
     let script_path = dir.join("t.script");

@@ -112,8 +112,6 @@ pub struct ExploreOptions {
     pub workers: usize,
     /// Where to persist corpus entries (`None`: in-memory only).
     pub corpus_dir: Option<PathBuf>,
-    /// Bound on mutated script length, in steps.
-    pub max_steps: usize,
     /// What the novelty reference starts from.
     pub baseline: BaselineMode,
     /// Print a live stats line to stderr.
@@ -131,7 +129,6 @@ impl Default for ExploreOptions {
             seed: 42,
             workers: std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2),
             corpus_dir: None,
-            max_steps: 40,
             baseline: BaselineMode::QuickSuite,
             progress: false,
         }
@@ -398,7 +395,7 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
         active_workers: AtomicUsize::new(opts.workers),
         stop: AtomicBool::new(false),
     };
-    let mutator = Mutator::new(opts.max_steps);
+    let mutator = Mutator::new(40);
     let budget = match (opts.iterations, opts.time_budget) {
         (None, None) => Some(Duration::from_secs(60)),
         (_, tb) => tb,

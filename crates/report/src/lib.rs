@@ -193,16 +193,40 @@ impl MergedReport {
     }
 }
 
+/// The configuration-specific findings of the paper's survey (§7.3), as
+/// `(configuration, libc function that deviates, what the paper found)`. A
+/// finding is reproduced when its configuration, checked against its own
+/// platform's model, deviates in that function.
+pub const SURVEY_FINDINGS: &[(&str, &str, &str)] = &[
+    ("linux/sshfs-tmpfs", "rename", "EPERM on rename over a non-empty directory (Fig. 4)"),
+    ("linux/posixovl-vfat", "write", "ENOSPC on an effectively empty volume (storage leak)"),
+    ("linux/openzfs-trusty", "pread", "O_APPEND writes land at the old offset (corruption observed by a later pread)"),
+    ("mac/hfsplus", "pwrite", "negative offset mishandled by the VFS layer"),
+    ("freebsd/ufs", "open", "O_CREAT|O_EXCL on a symlink replaces it and returns ENOTDIR"),
+    ("linux/hfsplus-trusty", "chmod", "chmod returns EOPNOTSUPP"),
+    ("mac/openzfs", "open", "creating inside a deleted working directory succeeds"),
+    ("linux/btrfs", "stat", "directory link counts not maintained"),
+];
+
 /// Render the merged acceptance table (one row per configuration).
 pub fn render_merged_markdown(m: &MergedReport) -> String {
     let mut out = String::new();
-    out.push_str("| configuration | backend | model | traces | accepted | failing | deviations |\n");
-    out.push_str("|---|---|---|---|---|---|---|\n");
+    out.push_str(
+        "| configuration | backend | model | traces | accepted | failing | deviations | accepted % |\n",
+    );
+    out.push_str("|---|---|---|---|---|---|---|---|\n");
     for r in &m.runs {
         let backend = if r.backend.is_empty() { "sim" } else { &r.backend };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} |\n",
-            r.config, backend, r.flavor, r.traces, r.accepted, r.failing, r.deviations
+            "| {} | {} | {} | {} | {} | {} | {} | {:.2}% |\n",
+            r.config,
+            backend,
+            r.flavor,
+            r.traces,
+            r.accepted,
+            r.failing,
+            r.deviations,
+            r.acceptance_rate()
         ));
     }
     out.push('\n');
@@ -219,6 +243,21 @@ pub fn render_merged_markdown(m: &MergedReport) -> String {
             ));
         }
         out.push('\n');
+    }
+    out
+}
+
+/// Render the §7.3 checklist: each of [`SURVEY_FINDINGS`], marked reproduced
+/// or not by the merged survey.
+pub fn render_findings_markdown(m: &MergedReport) -> String {
+    let mut out = String::from("## Expected findings (paper §7.3 → reproduction)\n\n");
+    for (config, function, note) in SURVEY_FINDINGS {
+        let seen = m
+            .signature_configs
+            .iter()
+            .any(|(key, configs)| key.function == *function && configs.contains(*config));
+        let mark = if seen { "reproduced" } else { "NOT reproduced" };
+        out.push_str(&format!("* [{mark}] {config}: {note}\n"));
     }
     out
 }
@@ -376,6 +415,37 @@ mod tests {
         let md = render_merged_markdown(&merged);
         assert!(md.contains("| linux/ext4 | sim |"), "{md}");
         assert!(md.contains("| host/linux | host |"), "{md}");
+    }
+
+    #[test]
+    fn merged_table_carries_the_acceptance_rate() {
+        let checked = [fake_trace("a", None), fake_trace("b", None), fake_trace("c", None)];
+        let mut partly = checked.to_vec();
+        partly.push(fake_trace("d", Some(("rename", "EPERM"))));
+        let merged = merge_runs(vec![
+            summarize_run("linux/ext4", "linux", &checked),
+            summarize_run("linux/sshfs-tmpfs", "linux", &partly),
+        ]);
+        let md = render_merged_markdown(&merged);
+        assert!(md.contains("| deviations | accepted % |\n"), "{md}");
+        assert!(md.contains("| linux/ext4 | sim | linux | 3 | 3 | 0 | 0 | 100.00% |"), "{md}");
+        assert!(md.contains("| linux/sshfs-tmpfs | sim | linux | 4 | 3 | 1 | 1 | 75.00% |"), "{md}");
+    }
+
+    #[test]
+    fn findings_are_reproduced_only_by_their_own_configuration_and_function() {
+        let merged = merge_runs(vec![
+            summarize_run("linux/sshfs-tmpfs", "linux", &[fake_trace("t", Some(("rename", "EPERM")))]),
+            // mac/hfsplus deviates, but not in pwrite; linux/ext4 deviates in
+            // pwrite, but is not mac/hfsplus.
+            summarize_run("mac/hfsplus", "mac", &[fake_trace("t", Some(("open", "EISDIR")))]),
+            summarize_run("linux/ext4", "linux", &[fake_trace("t", Some(("pwrite", "EINVAL")))]),
+        ]);
+        let md = render_findings_markdown(&merged);
+        assert_eq!(md.matches("\n* [").count(), SURVEY_FINDINGS.len(), "{md}");
+        assert!(md.contains("* [reproduced] linux/sshfs-tmpfs: EPERM on rename"), "{md}");
+        assert!(md.contains("* [NOT reproduced] mac/hfsplus: negative offset"), "{md}");
+        assert_eq!(md.matches("[reproduced]").count(), 1, "{md}");
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! byte-for-byte against local batch checking — the CI smoke job runs this at
 //! high client counts to pin "the server is the same oracle as the CLI".
 //!
-//! Results go to stdout, to `SIBYLFS_BENCH_JSON` (same record grammar as the
-//! bench harness, so `sibylfs bench-diff` gates the `serve_loadgen/…` family),
-//! and optionally to a summary JSON via `--out`.
+//! Results go to stdout and to `SIBYLFS_BENCH_JSON` (same record grammar as
+//! the bench harness, so `sibylfs bench-diff` gates the `serve_loadgen/…`
+//! family).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +38,6 @@ options:
   --window W         per-client pipelining window (default 8)
   --workers N        checker workers for the in-process server (default 4)
   --verify           compare every verdict against local batch checking
-  --out FILE         write a JSON summary of the sweep
   --trace-out FILE   record spans and write Chrome trace-event JSON
   -h, --help         show this help
 
@@ -58,7 +56,6 @@ struct Args {
     window: usize,
     workers: usize,
     verify: bool,
-    out: Option<String>,
     trace_out: Option<String>,
 }
 
@@ -72,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         window: 8,
         workers: 4,
         verify: false,
-        out: None,
         trace_out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -97,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
             "--window" => args.window = value("--window")?.parse().map_err(|e| format!("bad --window: {e}"))?,
             "--workers" => args.workers = value("--workers")?.parse().map_err(|e| format!("bad --workers: {e}"))?,
             "--verify" => args.verify = true,
-            "--out" => args.out = Some(value("--out")?),
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -364,7 +359,6 @@ fn main() {
         }
     }
 
-    let mut results = Vec::new();
     let mut scrape = scrape_pool(&addr)
         .map_err(|e| eprintln!("warning: metrics scrape unavailable: {e}"))
         .ok();
@@ -388,7 +382,7 @@ fn main() {
                 // Scrape the server's metrics and attribute this sweep's
                 // pool-busy delta to it: utilization = busy worker-time over
                 // available worker-time.
-                let mut extra = String::new();
+                let mut extra = format!(", \"p95_ns\": {}, \"p99_ns\": {}", r.p95_ns, r.p99_ns);
                 let after = scrape.as_ref().and_then(|_| scrape_pool(&addr).ok());
                 if let (Some(before), Some(after)) = (&scrape, &after) {
                     let workers = after.workers.max(1) as f64;
@@ -400,7 +394,7 @@ fn main() {
                         after.queue_hwm,
                         after.reorder_hwm,
                     );
-                    extra = format!(
+                    extra += &format!(
                         ", \"pool_utilization\": {util:.3}, \"reorder_depth_hwm\": {}, \"queue_depth_hwm\": {}",
                         after.reorder_hwm, after.queue_hwm,
                     );
@@ -415,7 +409,6 @@ fn main() {
                     r.throughput(),
                     &extra,
                 );
-                results.push(r);
             }
             Err(e) => {
                 eprintln!("error: sweep at {clients} clients: {e}");
@@ -427,30 +420,6 @@ fn main() {
     if let Some(path) = &args.trace_out {
         match obs::write_chrome_trace(std::path::Path::new(path)) {
             Ok(n) => println!("trace: {n} spans written to {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = &args.out {
-        let mut body = String::from("[\n");
-        for (i, r) in results.iter().enumerate() {
-            body.push_str(&format!(
-                "  {{\"clients\": {}, \"checks_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"requests\": {}}}{}\n",
-                r.clients,
-                r.throughput(),
-                r.p50_ns as f64 / 1e6,
-                r.p95_ns as f64 / 1e6,
-                r.p99_ns as f64 / 1e6,
-                r.total_requests,
-                if i + 1 == results.len() { "" } else { "," },
-            ));
-        }
-        body.push_str("]\n");
-        match std::fs::File::create(path).and_then(|mut f| f.write_all(body.as_bytes())) {
-            Ok(()) => println!("summary written to {path}"),
             Err(e) => {
                 eprintln!("error: cannot write {path}: {e}");
                 std::process::exit(1);

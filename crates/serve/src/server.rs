@@ -64,8 +64,6 @@ pub struct ServeOptions {
     /// minimal HTTP server answering `GET /metrics` with the `@type
     /// metrics-v1` text exposition. `None` disables the endpoint.
     pub metrics_addr: Option<String>,
-    /// Options passed to every check.
-    pub check: CheckOptions,
 }
 
 impl Default for ServeOptions {
@@ -77,7 +75,6 @@ impl Default for ServeOptions {
             max_name_len: DEFAULT_MAX_NAME_LEN,
             intern_budget_bytes: None,
             metrics_addr: None,
-            check: CheckOptions::default(),
         }
     }
 }
@@ -480,9 +477,8 @@ fn handle_check(
     };
 
     let checked_total = Arc::clone(&shared.checked_total);
-    let opts = shared.opts.check;
     shared.pool.submit(move || {
-        let checked = check_trace(&cfg, &trace, opts);
+        let checked = check_trace(&cfg, &trace, CheckOptions::default());
         checked_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
         reply(reply_to, &Response::Verdict(render_checked_trace(&checked)));

@@ -319,8 +319,8 @@ pub fn permission_scripts() -> Vec<Script> {
     out
 }
 
-/// Scripts that directly target the defect scenarios of §7.3, so that the
-/// survey experiment reproduces each finding.
+/// Scripts that directly target the defect scenarios of §7.3, so that
+/// `sibylfs survey` reproduces each finding.
 pub fn defect_scenario_scripts() -> Vec<Script> {
     let mut out = Vec::new();
     {

@@ -2,6 +2,7 @@
 //! full pipeline of Fig. 1.
 
 use sibylfs::prelude::*;
+use sibylfs::report::SURVEY_FINDINGS;
 
 /// A moderate deterministic slice of the quick suite used by several tests.
 fn test_suite() -> Vec<Script> {
@@ -91,17 +92,7 @@ fn checking_a_configuration_against_the_wrong_platform_model_finds_differences()
 #[test]
 fn defective_configurations_produce_their_signature_deviations() {
     let suite = test_suite();
-    let expectations: &[(&str, &str)] = &[
-        // configuration, function whose deviation must be observed
-        ("linux/sshfs-tmpfs", "rename"),
-        ("mac/hfsplus", "pwrite"),
-        ("freebsd/ufs", "open"),
-        ("linux/hfsplus-trusty", "chmod"),
-        ("linux/openzfs-trusty", "pread"),
-        ("mac/openzfs", "open"),
-        ("linux/btrfs", "stat"),
-    ];
-    for (config, function) in expectations {
+    for (config, function, _) in SURVEY_FINDINGS {
         let profile = configs::by_name(config).unwrap();
         let spec = SpecConfig::standard(profile.platform);
         let sim = SimExecutor::new(profile.clone());
