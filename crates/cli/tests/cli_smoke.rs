@@ -162,6 +162,23 @@ fn survey_reports_acceptance_and_reproduces_every_finding() {
     assert!(stderr(&out).contains(" deviations)"), "{}", stderr(&out));
 }
 
+/// §7.1 compares checking against execution that does file-system work: a
+/// `Reproduction:` verdict may only rest on the real kernel's execution
+/// time, never on the simulator's.
+#[test]
+fn exp_performance_compares_checking_only_against_host_execution() {
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_performance"))
+        .arg("--quick")
+        .output()
+        .expect("spawn exp_performance");
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("| 4 | "), "{text}");
+    for line in text.lines().filter(|l| l.starts_with("Reproduction:")) {
+        assert!(line.contains("host/linux"), "a verdict without host execution: {line}");
+    }
+}
+
 #[test]
 fn exec_then_check_round_trips_through_the_binary() {
     let dir = temp_dir("exec-check");

@@ -117,11 +117,6 @@ impl OpenFlags {
         }
     }
 
-    /// Build a flag set from a list of individual flags.
-    pub fn from_list(flags: &[OpenFlags]) -> OpenFlags {
-        flags.iter().fold(OpenFlags::empty(), |acc, f| acc.with(*f))
-    }
-
     /// Decompose into the list of named flags present (omitting `O_RDONLY`).
     pub fn to_list(self) -> Vec<&'static str> {
         let mut out = Vec::new();
@@ -227,16 +222,6 @@ impl FileMode {
     /// Apply a umask: clear every bit that is set in `umask`.
     pub fn apply_umask(self, umask: FileMode) -> FileMode {
         FileMode(self.0 & !umask.0 & FileMode::MASK)
-    }
-
-    /// The default mode for newly created directories in tests (0o777).
-    pub fn dir_default() -> FileMode {
-        FileMode(0o777)
-    }
-
-    /// The default mode for newly created files in tests (0o666).
-    pub fn file_default() -> FileMode {
-        FileMode(0o666)
     }
 }
 

@@ -300,6 +300,26 @@ impl fmt::Display for SpecConfig {
     }
 }
 
+/// Parse a [`SpecConfig`] from its `Display` syntax: a flavour name followed
+/// by comma-separated modifiers (`no-perms`, `timestamps`, `non-root`,
+/// `no-por`).
+pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
+    let mut parts = s.split(',');
+    let flavor_str = parts.next().unwrap_or("").trim();
+    let flavor: Flavor = flavor_str.parse().map_err(|e| format!("{e}"))?;
+    let mut cfg = SpecConfig::standard(flavor);
+    for part in parts {
+        match part.trim() {
+            "no-perms" => cfg.permissions = false,
+            "timestamps" => cfg.timestamps = true,
+            "non-root" => cfg.root_user = false,
+            "no-por" => cfg.por = PorMode::Off,
+            other => return Err(format!("unknown config modifier: {other:?}")),
+        }
+    }
+    Ok(cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,5 +363,20 @@ mod tests {
         assert_eq!(Flavor::Linux.symlink_default_mode(), Some(FileMode::new(0o777)));
         assert_eq!(Flavor::Mac.symlink_default_mode(), Some(FileMode::new(0o755)));
         assert_eq!(Flavor::Posix.symlink_default_mode(), None);
+    }
+
+    #[test]
+    fn spec_config_display_round_trip() {
+        for cfg in [
+            SpecConfig::standard(Flavor::Linux),
+            SpecConfig::standard(Flavor::Posix).with_por(PorMode::Off),
+            SpecConfig::unprivileged(Flavor::Mac),
+            SpecConfig::without_permissions(Flavor::FreeBsd),
+        ] {
+            let s = cfg.to_string();
+            assert_eq!(parse_spec_config(&s).unwrap(), cfg, "round trip of {s:?}");
+        }
+        assert!(parse_spec_config("plan9").is_err());
+        assert!(parse_spec_config("linux,frobnicate").is_err());
     }
 }

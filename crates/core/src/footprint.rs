@@ -29,8 +29,6 @@
 //!   write updates every open handle on that directory — which is why
 //!   `readdir` carries a [`Res::ListingRead`].)
 
-use std::collections::BTreeSet;
-
 use crate::commands::OsCommand;
 use crate::flags::OpenFlags;
 use crate::flavor::{LinkSymlinkBehavior, SpecConfig};
@@ -131,11 +129,6 @@ impl Footprint {
     /// The conservative top element: commutes with nothing.
     pub fn unbounded() -> Footprint {
         Footprint { res: Vec::new(), may_conflict: true }
-    }
-
-    /// Whether this footprint is the conservative fallback.
-    pub fn is_unbounded(&self) -> bool {
-        self.may_conflict
     }
 
     /// The recorded resources (empty for [`Footprint::unbounded`]).
@@ -523,11 +516,4 @@ pub fn obs_fingerprints<'a, I: IntoIterator<Item = &'a OsState>>(states: I) -> V
     let mut v: Vec<u64> = states.into_iter().map(obs_fingerprint).collect();
     v.sort_unstable();
     v
-}
-
-/// The set-difference helper tests use to report which side diverged.
-pub fn fingerprint_diff(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    let sa: BTreeSet<u64> = a.iter().copied().collect();
-    let sb: BTreeSet<u64> = b.iter().copied().collect();
-    (sa.difference(&sb).copied().collect(), sb.difference(&sa).copied().collect())
 }

@@ -256,15 +256,6 @@ impl fmt::Debug for Name {
     }
 }
 
-/// Hash the *string content* of a name (not its symbol id) into `h`.
-///
-/// Symbol ids depend on interning order, so content hashing is what anything
-/// needing a run-independent digest (e.g. corpus fingerprints persisted to
-/// disk) must use. In-memory state fingerprints hash symbols directly.
-pub fn hash_content<H: Hasher>(name: Name, h: &mut H) {
-    name.as_str().hash(h);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

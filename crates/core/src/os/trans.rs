@@ -10,11 +10,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue};
+use crate::commands::{ErrorOrValue, OsLabel, RetValue};
 use crate::coverage::spec_point;
 use crate::footprint::{footprint_of, Footprint};
 use crate::intern::Name;
-use crate::errno::Errno;
 use crate::flavor::{PorMode, SpecConfig};
 use crate::fs_ops;
 use crate::obs;
@@ -648,24 +647,11 @@ pub fn default_completion(st: &OsState, pid: Pid) -> Option<(ErrorOrValue, OsSta
     Some((value, next))
 }
 
-/// Convenience: the label a script line corresponds to when the call is made.
-pub fn call_label(pid: Pid, cmd: OsCommand) -> OsLabel {
-    OsLabel::Call(pid, cmd)
-}
-
-/// Convenience: the label for an observed return.
-pub fn return_label(pid: Pid, value: ErrorOrValue) -> OsLabel {
-    OsLabel::Return(pid, value)
-}
-
-/// Convenience: the label for an observed error return.
-pub fn error_label(pid: Pid, errno: Errno) -> OsLabel {
-    OsLabel::Return(pid, ErrorOrValue::Error(errno))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::OsCommand;
+    use crate::errno::Errno;
     use crate::flags::{FileMode, OpenFlags};
     use crate::flavor::Flavor;
     use crate::types::INITIAL_PID;

@@ -40,47 +40,63 @@ fn corpus_files(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn every_saved_corpus_entry_replays_with_the_recorded_verdict() {
-    let dir = scratch_dir("replay");
-    let opts = ExploreOptions {
-        iterations: Some(400),
-        workers: 2,
-        baseline: BaselineMode::SeedsOnly,
-        corpus_dir: Some(dir.clone()),
-        ..ExploreOptions::default()
-    };
-    let outcome = explore(&opts).unwrap();
-    assert!(!outcome.saved.is_empty(), "nothing was persisted");
+    // linux/sshfs-tmpfs models sshfs's deviations from the model, so its
+    // sim-only run also takes the finding path: each finding is saved under
+    // divergences/ and replays NOT accepted, as its header records.
+    for (config, workers, must_find) in [("linux/tmpfs", 2, false), ("linux/sshfs-tmpfs", 1, true)]
+    {
+        let dir = scratch_dir(&format!("replay-{workers}"));
+        let opts = ExploreOptions {
+            config: config.to_string(),
+            iterations: Some(400),
+            workers,
+            baseline: BaselineMode::SeedsOnly,
+            corpus_dir: Some(dir.clone()),
+            ..ExploreOptions::default()
+        };
+        let outcome = explore(&opts).unwrap();
+        assert!(!outcome.saved.is_empty(), "{config}: nothing was persisted");
 
-    let profile = configs::by_name(&opts.config).unwrap();
-    let cfg = SpecConfig::standard(opts.flavor);
-    let files = corpus_files(&dir);
-    assert!(files.len() >= outcome.saved.len());
-    for file in &files {
-        let text = std::fs::read_to_string(file).unwrap();
-        let script = parse_script(&text)
-            .unwrap_or_else(|e| panic!("{}: corpus file does not parse: {e}", file.display()));
-        let recorded = recorded_verdict(&text)
-            .unwrap_or_else(|| panic!("{}: no recorded verdict", file.display()));
-        // Replay: re-execute from scratch and re-check. Execution and
-        // checking are deterministic, so the verdict must be identical.
-        let trace = execute_script(&profile, &script, ExecOptions::default());
-        let (checked, cov) = check_trace_with_coverage(&cfg, &trace, CheckOptions::default());
-        assert_eq!(
-            checked.accepted,
-            recorded,
-            "{}: replayed verdict differs from the recorded one",
-            file.display()
-        );
-        // Every coverage key the entry was saved for is reproduced.
-        for key in recorded_novel_keys(&text) {
-            assert!(
-                cov.contains(&key),
-                "{}: replay no longer reaches {key:?}",
+        let profile = configs::by_name(&opts.config).unwrap();
+        let cfg = SpecConfig::standard(opts.flavor);
+        let files = corpus_files(&dir);
+        assert!(files.len() >= outcome.saved.len());
+        let mut findings = 0;
+        for file in &files {
+            let text = std::fs::read_to_string(file).unwrap();
+            let script = parse_script(&text)
+                .unwrap_or_else(|e| panic!("{}: corpus file does not parse: {e}", file.display()));
+            let recorded = recorded_verdict(&text)
+                .unwrap_or_else(|| panic!("{}: no recorded verdict", file.display()));
+            // Replay: re-execute from scratch and re-check. Execution and
+            // checking are deterministic, so the verdict must be identical.
+            let trace = execute_script(&profile, &script, ExecOptions::default());
+            let (checked, cov) = check_trace_with_coverage(&cfg, &trace, CheckOptions::default());
+            assert_eq!(
+                checked.accepted,
+                recorded,
+                "{}: replayed verdict differs from the recorded one",
                 file.display()
             );
+            // Every coverage key the entry was saved for is reproduced.
+            for key in recorded_novel_keys(&text) {
+                assert!(
+                    cov.contains(&key),
+                    "{}: replay no longer reaches {key:?}",
+                    file.display()
+                );
+            }
+            if file.strip_prefix(&dir).unwrap().starts_with("divergences") {
+                assert!(!recorded, "{}: a finding is recorded as accepted", file.display());
+                findings += 1;
+            }
         }
+        if must_find {
+            assert!(outcome.divergences > 0, "{config}: the run saved no finding");
+            assert!(findings > 0, "{config}: divergences/ is empty");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

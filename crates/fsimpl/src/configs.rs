@@ -212,16 +212,6 @@ pub fn config_names() -> Vec<String> {
     all_configs().into_iter().map(|c| c.name).collect()
 }
 
-/// The "reference" well-behaved configuration for each platform, used by
-/// quick-start examples and benchmarks.
-pub fn reference_for(flavor: Flavor) -> BehaviorProfile {
-    match flavor {
-        Flavor::Linux | Flavor::Posix => by_name("linux/tmpfs").expect("registered"),
-        Flavor::Mac => by_name("mac/hfsplus").expect("registered"),
-        Flavor::FreeBsd => by_name("freebsd/tmpfs").expect("registered"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -233,7 +233,8 @@ pub fn render_merged_markdown(m: &MergedReport) -> String {
     let distinctive = m.distinctive_signatures(2);
     if !distinctive.is_empty() {
         out.push_str("Configuration-specific deviations (at most 2 configurations):\n\n");
-        for (key, configs) in distinctive.iter().take(25) {
+        const MAX_LISTED: usize = 25;
+        for (key, configs) in distinctive.iter().take(MAX_LISTED) {
             out.push_str(&format!(
                 "* `{}`: observed {} (allowed {}) — {}\n",
                 key.function,
@@ -241,6 +242,9 @@ pub fn render_merged_markdown(m: &MergedReport) -> String {
                 key.allowed,
                 configs.iter().cloned().collect::<Vec<_>>().join(", ")
             ));
+        }
+        if distinctive.len() > MAX_LISTED {
+            out.push_str(&format!("* … and {} more\n", distinctive.len() - MAX_LISTED));
         }
         out.push('\n');
     }
@@ -400,6 +404,24 @@ mod tests {
         let md = render_merged_markdown(&merged);
         assert!(md.contains("| linux/ext4 |"));
         assert!(md.contains("Configuration-specific deviations"));
+    }
+
+    #[test]
+    fn the_signature_list_says_how_many_it_leaves_out() {
+        let checked: Vec<CheckedTrace> = (0..26)
+            .map(|i| fake_trace(&format!("t{i}"), Some(("rename", &*format!("E{i:02}")))))
+            .collect();
+        let merged = merge_runs(vec![summarize_run("linux/sshfs-tmpfs", "linux", &checked)]);
+        assert_eq!(merged.distinctive_signatures(2).len(), 26);
+        let md = render_merged_markdown(&merged);
+        assert_eq!(md.matches("* `rename`: observed").count(), 25, "{md}");
+        assert!(md.contains("observed E24 "), "{md}");
+        assert!(!md.contains("observed E25 "), "{md}");
+        assert!(md.ends_with("* … and 1 more\n\n"), "{md}");
+
+        // At the cap, nothing is left out and nothing says so.
+        let merged = merge_runs(vec![summarize_run("linux/sshfs-tmpfs", "linux", &checked[..25])]);
+        assert!(!render_merged_markdown(&merged).contains("more\n"));
     }
 
     #[test]

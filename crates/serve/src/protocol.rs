@@ -17,15 +17,16 @@
 //!           | 0x84 metrics-v1-text                full metrics exposition
 //! ```
 //!
-//! `cfg` is a [`SpecConfig`] in its `Display` syntax (`linux`, `posix,no-por`,
-//! `mac,non-root`, ...); [`parse_spec_config`] round-trips it. Verdict text is
-//! exactly what `sibylfs_check::render_checked_trace` produces, which is what
-//! makes "server verdicts are bit-identical to batch checking" a meaningful,
+//! `cfg` is a [`SpecConfig`](sibylfs_core::flavor::SpecConfig) in its
+//! `Display` syntax (`linux`, `posix,no-por`, `mac,non-root`, ...);
+//! [`parse_spec_config`] round-trips it. Verdict text is exactly what
+//! `sibylfs_check::render_checked_trace` produces, which is what makes
+//! "server verdicts are bit-identical to batch checking" a meaningful,
 //! CI-checkable property.
 
 use std::io::{self, Read, Write};
 
-use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
+pub use sibylfs_core::flavor::parse_spec_config;
 
 /// Hard ceiling on a frame payload; anything larger is a protocol error.
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
@@ -249,26 +250,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     }
 }
 
-/// Parse a [`SpecConfig`] from its `Display` syntax: a flavour name followed
-/// by comma-separated modifiers (`no-perms`, `timestamps`, `non-root`,
-/// `no-por`).
-pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
-    let mut parts = s.split(',');
-    let flavor_str = parts.next().unwrap_or("").trim();
-    let flavor: Flavor = flavor_str.parse().map_err(|e| format!("{e}"))?;
-    let mut cfg = SpecConfig::standard(flavor);
-    for part in parts {
-        match part.trim() {
-            "no-perms" => cfg.permissions = false,
-            "timestamps" => cfg.timestamps = true,
-            "non-root" => cfg.root_user = false,
-            "no-por" => cfg.por = PorMode::Off,
-            other => return Err(format!("unknown config modifier: {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
-
 /// Scan a script/trace text for quoted names longer than `max` bytes,
 /// returning the length of the first offender. Runs **before** parsing, so a
 /// hostile client cannot grow the process-wide interner with giant unique
@@ -372,21 +353,6 @@ mod tests {
         // EOF mid-length-prefix.
         let err = read_frame(&mut io::Cursor::new(vec![0u8, 0])).unwrap();
         assert_eq!(err, None, "a 2-byte stream never starts a frame");
-    }
-
-    #[test]
-    fn spec_config_display_round_trip() {
-        for cfg in [
-            SpecConfig::standard(Flavor::Linux),
-            SpecConfig::standard(Flavor::Posix).with_por(PorMode::Off),
-            SpecConfig::unprivileged(Flavor::Mac),
-            SpecConfig::without_permissions(Flavor::FreeBsd),
-        ] {
-            let s = cfg.to_string();
-            assert_eq!(parse_spec_config(&s).unwrap(), cfg, "round trip of {s:?}");
-        }
-        assert!(parse_spec_config("plan9").is_err());
-        assert!(parse_spec_config("linux,frobnicate").is_err());
     }
 
     #[test]
