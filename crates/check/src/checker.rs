@@ -484,7 +484,7 @@ fn apply_label(
             // Close under internal steps so calls from other processes may be
             // processed in any order before this return is matched.
             tau_close_with_sleeps(cfg, &mut states, &mut sleeps);
-            let (next, next_sleeps) = union_returns(cfg, &states, &sleeps, *pid, label);
+            let (next, next_sleeps) = union_trans(cfg, &states, &sleeps, label);
             if !next.is_empty() {
                 return (next, next_sleeps, StepVerdict::Ok);
             }
@@ -536,71 +536,36 @@ fn render_observed(v: &ErrorOrValue) -> String {
     v.to_string()
 }
 
-/// Insert each successor into `out`, giving fresh states a copy of the source
-/// state's sleep set. A successor reached from several sources may only sleep
-/// what every source lets it sleep, so duplicates intersect (by pid).
-/// Successors are consumed by value — cloning would reset their cached
-/// fingerprints and make `insert_full` recompute them.
-fn merge_successors(
-    out: &mut StateSet,
-    out_sleeps: &mut Vec<SleepSet>,
-    succs: StateSet,
-    sleep: &SleepSet,
-) {
-    for succ in succs {
-        let (j, fresh) = out.insert_full(succ);
-        if fresh {
-            out_sleeps.push(sleep.clone());
-        } else {
-            out_sleeps[j].retain(|(q, _)| sleep.iter().any(|(q2, _)| q2 == q));
-        }
-    }
-}
-
 /// The union of `os_trans` over every tracked state, with sleep inheritance.
-/// The per-state scratch set preserves the same overall insertion order as a
-/// shared sink, so Off-mode results are identical to the pre-POR checker.
+/// Each fresh successor gets a copy of its source state's sleep set; a
+/// successor reached from several sources may only sleep what every source
+/// lets it sleep, so duplicates intersect (by pid). The per-state scratch set
+/// preserves the same overall insertion order as a shared sink, so Off-mode
+/// results are identical to the pre-POR checker.
+///
+/// A return label of `pid` adds two POR rules. A state where `pid` sleeps is
+/// skipped outright: by the sleep-set invariant the interleaving that
+/// processes `pid`'s call first is represented by a sibling state, and
+/// matching the return here would resurrect the pruned orderings. And a
+/// return can have effects the τ step did not (a `write` applies its data at
+/// return time), so surviving sleep entries are woken unless they commute
+/// with the return's effect footprint.
 fn union_trans(
     cfg: &SpecConfig,
     states: &StateSet,
     sleeps: &[SleepSet],
     label: &OsLabel,
 ) -> (StateSet, Vec<SleepSet>) {
-    let mut out = StateSet::new();
-    let mut out_sleeps: Vec<SleepSet> = Vec::new();
     static EMPTY: SleepSet = SleepSet::new();
-    for (i, st) in states.iter().enumerate() {
-        let mut tmp = StateSet::new();
-        os_trans_into(cfg, st, label, &mut tmp);
-        if tmp.is_empty() {
-            continue;
-        }
-        merge_successors(&mut out, &mut out_sleeps, tmp, sleeps.get(i).unwrap_or(&EMPTY));
-    }
-    (out, out_sleeps)
-}
-
-/// The union of the `Return(pid, _)` transition over every tracked state.
-///
-/// Two POR rules live here. A state where `pid` sleeps is skipped outright:
-/// by the sleep-set invariant the interleaving that processes `pid`'s call
-/// first is represented by a sibling state, and matching the return here
-/// would resurrect the pruned orderings. And a return can have effects the
-/// τ step did not (a `write` applies its data at return time), so surviving
-/// sleep entries are woken unless they commute with the return's effect
-/// footprint.
-fn union_returns(
-    cfg: &SpecConfig,
-    states: &StateSet,
-    sleeps: &[SleepSet],
-    pid: Pid,
-    label: &OsLabel,
-) -> (StateSet, Vec<SleepSet>) {
+    let returning = match label {
+        OsLabel::Return(pid, _) => Some(*pid),
+        _ => None,
+    };
     let mut out = StateSet::new();
     let mut out_sleeps: Vec<SleepSet> = Vec::new();
     for (i, st) in states.iter().enumerate() {
-        let src = sleeps.get(i);
-        if src.is_some_and(|s| s.iter().any(|(q, _)| *q == pid)) {
+        let src = sleeps.get(i).unwrap_or(&EMPTY);
+        if returning.is_some_and(|pid| src.iter().any(|(q, _)| *q == pid)) {
             continue;
         }
         let mut tmp = StateSet::new();
@@ -608,13 +573,25 @@ fn union_returns(
         if tmp.is_empty() {
             continue;
         }
-        let mut inherited = src.cloned().unwrap_or_default();
-        if !inherited.is_empty() {
-            if let Some(eff) = return_effect_of(cfg, st, pid) {
-                inherited.retain(|(_, qfp)| eff.commutes(qfp));
+        let effect = returning.filter(|_| !src.is_empty()).and_then(|pid| return_effect_of(st, pid));
+        let kept: SleepSet;
+        let sleep = match effect {
+            Some(eff) => {
+                kept = src.iter().filter(|(_, qfp)| eff.commutes(qfp)).cloned().collect();
+                &kept
+            }
+            None => src,
+        };
+        // Successors are consumed by value: cloning would reset their cached
+        // fingerprints and make `insert_full` recompute them.
+        for succ in tmp {
+            let (j, fresh) = out.insert_full(succ);
+            if fresh {
+                out_sleeps.push(sleep.clone());
+            } else {
+                out_sleeps[j].retain(|(q, _)| sleep.iter().any(|(q2, _)| q2 == q));
             }
         }
-        merge_successors(&mut out, &mut out_sleeps, tmp, &inherited);
     }
     (out, out_sleeps)
 }
@@ -739,6 +716,22 @@ mod tests {
         let checked = check_trace(&cfg(), &t, CheckOptions::default());
         // The stat call has no return in the trace; that is fine.
         assert!(checked.accepted, "{:?}", checked.deviations);
+    }
+
+    #[test]
+    fn a_return_derives_each_successor_once() {
+        // τ processes the call once, in the closure before the return; the
+        // return then matches the processed states and derives nothing twice.
+        let cfg = cfg();
+        let states = StateSet::singleton(OsState::initial_with_process(&cfg, INITIAL_PID));
+        let call = OsLabel::Call(INITIAL_PID, OsCommand::Mkdir("/d".into(), FileMode::new(0o777)));
+        let (states, sleeps, verdict) = apply_label(&cfg, states, vec![SleepSet::new()], &call);
+        assert_eq!(verdict, StepVerdict::Ok);
+        let ret = OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None));
+        let (mut next, _, verdict) = apply_label(&cfg, states, sleeps, &ret);
+        assert_eq!(verdict, StepVerdict::Ok);
+        assert_eq!(next.len(), 1);
+        assert_eq!(next.take_dedup_hits(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! SibylFS is not a single specification but a family: the POSIX envelope plus
 //! per-platform variants (Linux, OS X, FreeBSD) capturing real-world behaviour,
-//! and "traits" (permissions, timestamps) that can be mixed in or left out
-//! (§1 contribution 2, §4 "Traits").
+//! and the permissions "trait", which can be mixed in or left out (§1
+//! contribution 2, §4 "Traits").
 
 use std::fmt;
 use std::str::FromStr;
@@ -223,7 +223,7 @@ impl FromStr for PorMode {
 
 /// Complete configuration of the specification used for checking.
 ///
-/// Combines a [`Flavor`] with the optional traits described in §4 and the
+/// Combines a [`Flavor`] with the optional permissions trait of §4 and the
 /// checking parameters described in §2 ("various flags control further
 /// checking parameters, such as whether the initial process runs with root
 /// privileges").
@@ -234,10 +234,6 @@ pub struct SpecConfig {
     /// Whether the permissions trait is mixed in. When `false`, all objects
     /// are accessible to all users and permission errors never arise.
     pub permissions: bool,
-    /// Whether the timestamps trait is mixed in. When `false` (the default,
-    /// matching the paper's testing), timestamp fields are tracked internally
-    /// but never checked against observations.
-    pub timestamps: bool,
     /// Whether the initial process runs with root privileges.
     pub root_user: bool,
     /// Whether the τ-closure applies partial-order reduction. Purely a
@@ -248,12 +244,11 @@ pub struct SpecConfig {
 
 impl SpecConfig {
     /// The configuration used for the bulk of the paper's testing: a given
-    /// flavour, permissions on, timestamps off, initial process root.
+    /// flavour, permissions on, initial process root.
     pub fn standard(flavor: Flavor) -> SpecConfig {
         SpecConfig {
             flavor,
             permissions: true,
-            timestamps: false,
             root_user: true,
             por: PorMode::Footprint,
         }
@@ -287,10 +282,9 @@ impl fmt::Display for SpecConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}{}{}{}",
+            "{}{}{}",
             self.flavor,
             if self.permissions { "" } else { ",no-perms" },
-            if self.timestamps { ",timestamps" } else { "" },
             if self.root_user { "" } else { ",non-root" },
         )?;
         if self.por == PorMode::Off {
@@ -301,8 +295,7 @@ impl fmt::Display for SpecConfig {
 }
 
 /// Parse a [`SpecConfig`] from its `Display` syntax: a flavour name followed
-/// by comma-separated modifiers (`no-perms`, `timestamps`, `non-root`,
-/// `no-por`).
+/// by comma-separated modifiers (`no-perms`, `non-root`, `no-por`).
 pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
     let mut parts = s.split(',');
     let flavor_str = parts.next().unwrap_or("").trim();
@@ -311,7 +304,6 @@ pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
     for part in parts {
         match part.trim() {
             "no-perms" => cfg.permissions = false,
-            "timestamps" => cfg.timestamps = true,
             "non-root" => cfg.root_user = false,
             "no-por" => cfg.por = PorMode::Off,
             other => return Err(format!("unknown config modifier: {other:?}")),
@@ -378,5 +370,6 @@ mod tests {
         }
         assert!(parse_spec_config("plan9").is_err());
         assert!(parse_spec_config("linux,frobnicate").is_err());
+        assert!(parse_spec_config("linux,timestamps").is_err());
     }
 }

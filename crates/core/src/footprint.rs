@@ -115,7 +115,7 @@ pub struct Footprint {
     res: Vec<Res>,
     /// Conservative fallback: the command's effects could not be bounded
     /// (flavour-dependent `link`-through-symlink, the administrative
-    /// group-table write, any call under the timestamps trait). A
+    /// group-table write, a write through an fd with no file behind it). A
     /// `may_conflict` footprint commutes with nothing.
     may_conflict: bool,
 }
@@ -279,13 +279,6 @@ impl<'a> FpCtx<'a> {
 /// `st`. Conservative by construction: over-approximating the read/write
 /// sets only costs reduction, never soundness.
 pub fn footprint_of(cfg: &SpecConfig, st: &OsState, pid: Pid, cmd: &OsCommand) -> Footprint {
-    // The timestamps trait makes *every* call write the global clock into
-    // the object it touches; nothing commutes, and the closure disables POR
-    // wholesale. Returning unbounded here keeps the footprint honest for
-    // any caller that asks anyway.
-    if cfg.timestamps {
-        return Footprint::unbounded();
-    }
     let ctx = FpCtx {
         st,
         creds: st.creds_of(cfg, pid),
@@ -466,34 +459,15 @@ pub fn footprint_of(cfg: &SpecConfig, st: &OsState, pid: Pid, cmd: &OsCommand) -
 /// shared file content: a sleeping command whose footprint overlaps that
 /// file must be woken when such a return fires. `None` means the return is
 /// pure with respect to shared state.
-pub fn return_effect_of(cfg: &SpecConfig, st: &OsState, pid: Pid) -> Option<Footprint> {
+pub fn return_effect_of(st: &OsState, pid: Pid) -> Option<Footprint> {
     use crate::os::{Pending, ProcRunState};
-    let proc = st.proc(pid)?;
-    match &proc.run_state {
-        ProcRunState::Pending(Pending::WriteData { fd, .. }) => {
-            let mut fp = Footprint::pure();
-            match st.fd_entry(pid, *fd).and_then(|(_, f)| f.file()) {
-                Some(f) => fp.push(Res::FileWrite(f)),
-                None => return Some(Footprint::unbounded()),
-            }
-            Some(fp)
-        }
-        ProcRunState::Pending(_) => None,
-        // A return consumed while the process is still `InCall` triggers the
-        // implicit single-pid τ *and* the match: both the τ footprint and a
-        // possible write effect apply.
-        ProcRunState::InCall(cmd) => {
-            let mut fp = footprint_of(cfg, st, pid, cmd);
-            if let OsCommand::Write(fd, _) | OsCommand::Pwrite(fd, _, _) = cmd {
-                match st.fd_entry(pid, *fd).and_then(|(_, f)| f.file()) {
-                    Some(f) => fp.push(Res::FileWrite(f)),
-                    None => fp.may_conflict = true,
-                }
-            }
-            Some(fp)
-        }
-        ProcRunState::Ready => None,
-    }
+    let ProcRunState::Pending(Pending::WriteData { fd, .. }) = &st.proc(pid)?.run_state else {
+        return None;
+    };
+    Some(match st.fd_entry(pid, *fd).and_then(|(_, f)| f.file()) {
+        Some(f) => Footprint { res: vec![Res::FileWrite(f)], may_conflict: false },
+        None => Footprint::unbounded(),
+    })
 }
 
 /// Canonical observational fingerprint of a state: everything a trace can

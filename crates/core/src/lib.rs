@@ -22,8 +22,7 @@
 //! the paper).
 //!
 //! The model is parameterised by a [`flavor::SpecConfig`]: a platform flavour
-//! (POSIX envelope, Linux, OS X, FreeBSD) plus the permissions and timestamps
-//! traits.
+//! (POSIX envelope, Linux, OS X, FreeBSD) plus the permissions trait.
 //!
 //! ## Quick example
 //!
@@ -38,9 +37,13 @@
 //! let after_call = os_trans(&cfg, &st, &OsLabel::Call(INITIAL_PID, cmd));
 //! assert_eq!(after_call.len(), 1);
 //!
+//! // … a τ step processes it, one state per allowed outcome …
+//! let processed = os_trans(&cfg, &after_call[0], &OsLabel::Tau);
+//!
 //! // … and the real system reports success: allowed by the model.
 //! let ret = OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None));
-//! let after_ret = os_trans(&cfg, &after_call[0], &ret);
+//! let after_ret: Vec<OsState> =
+//!     processed.iter().flat_map(|st| os_trans(&cfg, st, &ret)).collect();
 //! assert_eq!(after_ret.len(), 1);
 //! ```
 

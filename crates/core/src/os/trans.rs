@@ -5,7 +5,9 @@
 //! moves the process into `InCall`, a τ step processes the call and leaves a
 //! *pending return* (an error set, an exact value, or a constrained family of
 //! values), and the `OS_RETURN` label resolves the nondeterminism against the
-//! observed value. No backtracking search is ever required.
+//! observed value. τ is the only step that processes a call, so a return
+//! from a process still `InCall` matches nothing. No backtracking search is
+//! ever required.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,12 +37,8 @@ use crate::types::{DirHandleId, Fd, Pid};
 pub type SleepSet = Vec<(Pid, Arc<Footprint>)>;
 
 /// Whether footprint-based POR is active under this configuration.
-///
-/// The timestamps trait writes the global logical clock into every object a
-/// call touches, so no two calls commute and the closure falls back to full
-/// expansion.
 pub fn por_active(cfg: &SpecConfig) -> bool {
-    cfg.por == PorMode::Footprint && !cfg.timestamps
+    cfg.por == PorMode::Footprint
 }
 
 /// Apply one label to one state, emitting every allowed next state into `out`.
@@ -105,24 +103,12 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             };
             match &proc.run_state {
                 ProcRunState::Pending(pending) => {
-                    if let Some(next) = match_pending(cfg, st, *pid, pending, value) {
+                    if let Some(next) = match_pending(st, *pid, pending, value) {
                         out.insert(next);
                     }
                 }
-                ProcRunState::InCall(_) => {
-                    // Process the call (an implicit τ) and then match.
-                    let mut mids = StateSet::new();
-                    process_call_into(cfg, st, *pid, &mut mids);
-                    for mid in &mids {
-                        // The call expansion never removes the process.
-                        let Some(proc) = mid.procs.get(pid) else { continue };
-                        if let ProcRunState::Pending(p) = &proc.run_state {
-                            if let Some(next) = match_pending(cfg, mid, *pid, p, value) {
-                                out.insert(next);
-                            }
-                        }
-                    }
-                }
+                // Only τ processes the call; its successors carry the return.
+                ProcRunState::InCall(_) => {}
                 ProcRunState::Ready => {
                     spec_point("os/return_without_call_rejected");
                 }
@@ -161,53 +147,27 @@ pub fn expand_calls(cfg: &SpecConfig, st: &OsState) -> Vec<OsState> {
 
 /// Close a state set under internal (τ) steps, in place: afterwards the set
 /// contains every state reachable from a member by any sequence of internal
-/// steps, including the original members. Used by the trace checker before
-/// matching an `OS_RETURN` when multiple processes have calls in flight.
+/// steps, including the original members. [`tau_close_with_sleeps`] with
+/// every member starting awake, for callers that keep no sleep sets (the
+/// checker keeps them across labels and calls that directly).
 pub fn tau_close(cfg: &SpecConfig, states: &mut StateSet) {
     let mut sleeps = vec![SleepSet::new(); states.len()];
     tau_close_with_sleeps(cfg, states, &mut sleeps);
 }
 
-/// Full τ-closure sweep without partial-order reduction.
-///
-/// The set grows only at the tail (inserts dedup against everything seen),
-/// so a single index sweep visits every member exactly once; each expansion
-/// strictly reduces the number of `InCall` processes, bounding the chains
-/// appended per original state.
-fn tau_close_sweep(cfg: &SpecConfig, states: &mut StateSet) {
-    let mut i = 0;
-    while i < states.len() {
-        let Some(st) = states.get(i) else { break };
-        let st = st.clone();
-        expand_calls_into(cfg, &st, states);
-        i += 1;
-    }
-}
-
-/// Whether the closure can take the non-POR fast path: no state carries a
-/// sleep entry and no state has two calls in flight. τ steps never move a
-/// process *into* `InCall`, so the ≤1-in-flight invariant is preserved by
-/// the sweep itself and only needs checking on the initial members. This
-/// keeps the single-process hot path byte-identical to the plain sweep.
-fn closure_is_sequential(states: &StateSet, sleeps: &[SleepSet]) -> bool {
-    sleeps.iter().all(|s| s.is_empty())
-        && states.iter().all(|st| {
-            st.procs
-                .values()
-                .filter(|p| matches!(p.run_state, ProcRunState::InCall(_)))
-                .count()
-                <= 1
-        })
-}
-
 /// Close a state set under τ steps while maintaining per-state sleep sets
 /// (`sleeps[i]` belongs to `states.get(i)`; missing entries are treated as
-/// empty and the vector is kept in sync with the set).
+/// empty and the vector is kept in sync with the set). This is the one
+/// closure loop: [`tau_close`] and the checker both run it.
 ///
-/// With POR active this is a sleep-set exploration: from each state the
-/// in-flight calls are processed in ascending pid order, and each successor's
-/// sleep set records the earlier-processed calls its own call commutes with
-/// (per [`Footprint::commutes`]). A sleeping process is never expanded — the
+/// States are expanded from a worklist in insertion order, and from each
+/// state the in-flight calls are processed in ascending pid order. A
+/// successor already in the set is not expanded again unless its sleep set
+/// shrinks.
+///
+/// With POR active this is a sleep-set exploration: each successor's sleep
+/// set records the earlier-processed calls its own call commutes with (per
+/// [`Footprint::commutes`]). A sleeping process is never expanded — the
 /// interleaving that runs it first was already explored from a sibling — so
 /// commuting calls contribute one interleaving order instead of all `n!`.
 /// When a successor is already tracked, its sleep set is intersected with the
@@ -215,6 +175,11 @@ fn closure_is_sequential(states: &StateSet, sleeps: &[SleepSet]) -> bool {
 /// skip) and it is re-explored if that intersection woke anything. The
 /// deduplicating [`StateSet`] remains the exact safety net: POR only prunes
 /// τ orderings, never invents states.
+///
+/// Footprints are computed only when POR is active and some successor has
+/// to decide what to sleep on. Without POR, or with one call in flight and
+/// nothing asleep, no footprint is computed, nothing is put to sleep, and
+/// every state is expanded once, in insertion order.
 pub fn tau_close_with_sleeps(cfg: &SpecConfig, states: &mut StateSet, sleeps: &mut Vec<SleepSet>) {
     // Expansion/pruning tallies are kept in locals and flushed to the global
     // registry once per closure call: the loop below is the checker's hottest
@@ -222,12 +187,7 @@ pub fn tau_close_with_sleeps(cfg: &SpecConfig, states: &mut StateSet, sleeps: &m
     // pool workers.
     let len_before = states.len();
     sleeps.resize(states.len(), SleepSet::new());
-    if !por_active(cfg) || closure_is_sequential(states, sleeps) {
-        tau_close_sweep(cfg, states);
-        sleeps.resize(states.len(), SleepSet::new());
-        obs::m::TAU_STATES_EXPANDED_TOTAL.add((states.len() - len_before) as u64);
-        return;
-    }
+    let por = por_active(cfg);
     let mut sleep_pruned: u64 = 0;
 
     // `known[i]` caches footprints of calls in flight in `states[i]`: when a
@@ -271,7 +231,7 @@ pub fn tau_close_with_sleeps(cfg: &SpecConfig, states: &mut StateSet, sleeps: &m
             // decide whether to sleep on this call: either `acc` is
             // non-empty (we must test commutation against it) or a later
             // awake pid will have this call in its `acc`.
-            let need_fp = !acc.is_empty() || k + 1 < awake.len();
+            let need_fp = por && (!acc.is_empty() || k + 1 < awake.len());
             let fp: Option<Arc<Footprint>> = if need_fp {
                 if let Some(cached) =
                     known[i as usize].iter().find(|(q, _)| *q == pid).map(|(_, f)| f.clone())
@@ -390,13 +350,11 @@ pub fn process_call(cfg: &SpecConfig, st: &OsState, pid: Pid) -> Vec<OsState> {
 /// Check an observed return value against a pending constraint and, when it
 /// matches, apply its state update and mark the process ready again.
 pub fn match_pending(
-    cfg: &SpecConfig,
     st: &OsState,
     pid: Pid,
     pending: &Pending,
     observed: &ErrorOrValue,
 ) -> Option<OsState> {
-    let _ = cfg;
     let mut new_st = st.clone();
     let matched = match (pending, observed) {
         (Pending::Errors(allowed), ErrorOrValue::Error(e)) => allowed.contains(e),
@@ -643,7 +601,7 @@ pub fn default_completion(st: &OsState, pid: Pid) -> Option<(ErrorOrValue, OsSta
         }
         Pending::Special(_) => ErrorOrValue::Value(RetValue::None),
     };
-    let next = match_pending(&SpecConfig::default(), st, pid, &pending.clone(), &value)?;
+    let next = match_pending(st, pid, pending, &value)?;
     Some((value, next))
 }
 
@@ -664,11 +622,43 @@ mod tests {
         OsState::initial_with_process(&cfg(), INITIAL_PID)
     }
 
-    /// Drive one call/return pair through os_trans, asserting it is accepted.
+    /// The τ step that processes `pid`'s call, then its return: every state
+    /// the return is allowed to reach.
+    fn tau_then_return(cfg: &SpecConfig, st: &OsState, pid: Pid, ret: ErrorOrValue) -> Vec<OsState> {
+        let ret = OsLabel::Return(pid, ret);
+        let mut out = StateSet::new();
+        for processed in process_call(cfg, st, pid) {
+            os_trans_into(cfg, &processed, &ret, &mut out);
+        }
+        out.into_states()
+    }
+
+    /// Drive one call/return pair through os_trans, asserting the call is
+    /// accepted.
     fn step(cfg: &SpecConfig, st: &OsState, cmd: OsCommand, ret: ErrorOrValue) -> Vec<OsState> {
         let called = os_trans(cfg, st, &OsLabel::Call(INITIAL_PID, cmd));
         assert_eq!(called.len(), 1);
-        os_trans(cfg, &called[0], &OsLabel::Return(INITIAL_PID, ret))
+        tau_then_return(cfg, &called[0], INITIAL_PID, ret)
+    }
+
+    #[test]
+    fn a_return_before_tau_processes_the_call_matches_nothing() {
+        let cfg = cfg();
+        let called = os_trans(
+            &cfg,
+            &initial(),
+            &OsLabel::Call(INITIAL_PID, OsCommand::Mkdir("/d".into(), FileMode::new(0o777))),
+        )
+        .remove(0);
+        crate::coverage::scoped_begin();
+        let next = os_trans(
+            &cfg,
+            &called,
+            &OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None)),
+        );
+        let points = crate::coverage::scoped_end();
+        assert!(next.is_empty());
+        assert!(points.is_empty(), "the return dispatched the call: {points:?}");
     }
 
     #[test]
@@ -905,17 +895,9 @@ mod tests {
         )
         .remove(0);
         // Returns can arrive in either order.
-        let st = os_trans(
-            &cfg,
-            &st,
-            &OsLabel::Return(Pid(2), ErrorOrValue::Value(RetValue::None)),
-        );
+        let st = tau_then_return(&cfg, &st, Pid(2), ErrorOrValue::Value(RetValue::None));
         assert!(!st.is_empty());
-        let st = os_trans(
-            &cfg,
-            &st[0],
-            &OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None)),
-        );
+        let st = tau_then_return(&cfg, &st[0], INITIAL_PID, ErrorOrValue::Value(RetValue::None));
         assert_eq!(st.len(), 1);
         let root = st[0].heap.root();
         assert!(st[0].heap.lookup(root, "a").is_some());

@@ -8,8 +8,8 @@ use crate::types::{Gid, Uid};
 /// The model does not track wall-clock time; instead each file-system state
 /// carries a logical clock that is advanced on every mutating operation, and
 /// timestamps record the clock value at which the corresponding update
-/// happened. The timestamps *trait* decides whether these values are ever
-/// compared against observations (they are not by default, §1.2).
+/// happened. No observed value carries a timestamp, so these values are
+/// never compared against observations (§1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamps {
     /// Last access time.

@@ -626,11 +626,10 @@ impl Run<'_> {
             novel: new_keys,
             accepted: min_eval.checked.accepted,
         };
-        if let Err(e) = self.save_entry(entry) {
-            eprintln!("warning: could not persist corpus entry: {e}");
+        if self.save_entry_or_warn(entry) {
+            self.novel_entries.fetch_add(1, Ordering::Relaxed);
+            obs::m::EXPLORE_NOVEL_TOTAL.inc();
         }
-        self.novel_entries.fetch_add(1, Ordering::Relaxed);
-        obs::m::EXPLORE_NOVEL_TOTAL.inc();
     }
 
     /// A finding: unless one with the same signature is already saved,
@@ -655,27 +654,36 @@ impl Run<'_> {
             novel: Vec::new(),
             accepted,
         };
-        if let Err(e) = self.save_entry(entry) {
-            eprintln!("warning: could not persist corpus entry: {e}");
+        if self.save_entry_or_warn(entry) {
+            self.divergences.fetch_add(1, Ordering::Relaxed);
+            obs::m::EXPLORE_DIVERGENCES_TOTAL.inc();
         }
-        self.divergences.fetch_add(1, Ordering::Relaxed);
-        obs::m::EXPLORE_DIVERGENCES_TOTAL.inc();
     }
 
     /// Add `entry` to the corpus unless the corpus already holds its steps,
-    /// and write it to the corpus directory if there is one.
-    fn save_entry(&self, entry: CorpusEntry) -> io::Result<()> {
+    /// and write it to the corpus directory if there is one. Returns whether
+    /// the entry was added; an error means it was added but not written.
+    fn save_entry(&self, entry: CorpusEntry) -> io::Result<bool> {
         let mut corpus = lock(&self.corpus);
         if !corpus.insert(entry) {
-            return Ok(());
+            return Ok(false);
         }
         obs::m::EXPLORE_CORPUS_SIZE.set(corpus.len() as i64);
-        let Some(dir) = &self.opts.corpus_dir else { return Ok(()) };
+        let Some(dir) = &self.opts.corpus_dir else { return Ok(true) };
         let entry = corpus.entries().last().expect("just inserted").clone();
         drop(corpus);
         let path = corpus::persist_entry(dir, &entry)?;
         lock(&self.saved).push(path);
-        Ok(())
+        Ok(true)
+    }
+
+    /// [`Run::save_entry`] for entries found while exploring: a failed write
+    /// is only a warning, and the entry, being in the corpus, still counts.
+    fn save_entry_or_warn(&self, entry: CorpusEntry) -> bool {
+        self.save_entry(entry).unwrap_or_else(|e| {
+            eprintln!("warning: could not persist corpus entry: {e}");
+            true
+        })
     }
 }
 

@@ -42,15 +42,22 @@ fn corpus_files(dir: &Path) -> Vec<PathBuf> {
 fn every_saved_corpus_entry_replays_with_the_recorded_verdict() {
     // linux/sshfs-tmpfs models sshfs's deviations from the model, so its
     // sim-only run also takes the finding path: each finding is saved under
-    // divergences/ and replays NOT accepted, as its header records.
-    for (config, workers, must_find) in [("linux/tmpfs", 2, false), ("linux/sshfs-tmpfs", 1, true)]
-    {
-        let dir = scratch_dir(&format!("replay-{workers}"));
+    // divergences/ and replays NOT accepted, as its header records. The
+    // 2000-iteration run shrinks a finding to steps the corpus already
+    // holds, which must not count as a divergence.
+    let inputs = [
+        ("linux/tmpfs", 2, 400, BaselineMode::SeedsOnly, false),
+        ("linux/sshfs-tmpfs", 1, 400, BaselineMode::SeedsOnly, true),
+        ("linux/sshfs-tmpfs", 1, 2000, BaselineMode::QuickSuite, true),
+    ];
+    for (n, (config, workers, iterations, baseline, must_find)) in inputs.into_iter().enumerate() {
+        let dir = scratch_dir(&format!("replay-{n}"));
         let opts = ExploreOptions {
             config: config.to_string(),
-            iterations: Some(400),
+            iterations: Some(iterations),
             workers,
-            baseline: BaselineMode::SeedsOnly,
+            seed: 42,
+            baseline,
             corpus_dir: Some(dir.clone()),
             ..ExploreOptions::default()
         };
@@ -91,6 +98,10 @@ fn every_saved_corpus_entry_replays_with_the_recorded_verdict() {
                 findings += 1;
             }
         }
+        assert_eq!(
+            outcome.divergences, findings,
+            "{config}, {iterations} iterations: divergences counted vs saved"
+        );
         if must_find {
             assert!(outcome.divergences > 0, "{config}: the run saved no finding");
             assert!(findings > 0, "{config}: divergences/ is empty");
