@@ -54,8 +54,8 @@ fn checker_internals(c: &mut Criterion) {
 
     // N processes with commuting calls in flight: the classic branching
     // workload. Each process mkdirs a distinct fresh path, so every pair of
-    // in-flight calls commutes and partial-order reduction can prune the
-    // closure to a single representative interleaving.
+    // in-flight calls commutes and partial-order reduction dispatches them
+    // in a single representative interleaving.
     let in_flight = |n: u32| {
         let mut stn = st.clone();
         for pid in 2..=n {
@@ -81,14 +81,13 @@ fn checker_internals(c: &mut Criterion) {
         b.iter(|| tau_closure(&cfg, std::slice::from_ref(&st3)).len())
     });
 
-    // The same closure with reduction disabled: the pre-POR cost, kept as a
-    // bench so the exponential-vs-linear gap stays visible in the results.
+    // The same closure with reduction disabled: it tracks the same states
+    // but dispatches every interleaving, so the gap is what POR saves.
     c.bench_function("tau_closure_three_processes_no_por", |b| {
         b.iter(|| tau_closure(&cfg_no_por, std::slice::from_ref(&st3)).len())
     });
 
-    // Six commuting calls in flight: 2^6 subset states without reduction,
-    // a single chain of 7 under the sleep-set closure.
+    // Six commuting calls in flight: 2^6 subset states in both modes.
     c.bench_function("tau_closure_six_processes", |b| {
         b.iter(|| tau_closure(&cfg, std::slice::from_ref(&st6)).len())
     });

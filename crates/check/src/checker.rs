@@ -543,13 +543,9 @@ fn render_observed(v: &ErrorOrValue) -> String {
 /// preserves the same overall insertion order as a shared sink, so Off-mode
 /// results are identical to the pre-POR checker.
 ///
-/// A return label of `pid` adds two POR rules. A state where `pid` sleeps is
-/// skipped outright: by the sleep-set invariant the interleaving that
-/// processes `pid`'s call first is represented by a sibling state, and
-/// matching the return here would resurrect the pruned orderings. And a
-/// return can have effects the τ step did not (a `write` applies its data at
-/// return time), so surviving sleep entries are woken unless they commute
-/// with the return's effect footprint.
+/// A return can have effects the τ step did not (a `write` applies its data
+/// at return time), so on a return label the inherited sleep entries are
+/// woken unless they commute with the return's effect footprint.
 fn union_trans(
     cfg: &SpecConfig,
     states: &StateSet,
@@ -565,9 +561,6 @@ fn union_trans(
     let mut out_sleeps: Vec<SleepSet> = Vec::new();
     for (i, st) in states.iter().enumerate() {
         let src = sleeps.get(i).unwrap_or(&EMPTY);
-        if returning.is_some_and(|pid| src.iter().any(|(q, _)| *q == pid)) {
-            continue;
-        }
         let mut tmp = StateSet::new();
         os_trans_into(cfg, st, label, &mut tmp);
         if tmp.is_empty() {
@@ -604,6 +597,7 @@ mod tests {
     use sibylfs_core::flags::{FileMode, OpenFlags};
     use sibylfs_core::flavor::Flavor;
     use sibylfs_core::types::Fd;
+    use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 
     fn cfg() -> SpecConfig {
         SpecConfig::standard(Flavor::Linux)
@@ -732,6 +726,36 @@ mod tests {
         assert_eq!(verdict, StepVerdict::Ok);
         assert_eq!(next.len(), 1);
         assert_eq!(next.take_dedup_hits(), 0);
+    }
+
+    #[test]
+    fn a_sleeping_pid_is_always_in_a_call() {
+        // Only τ processes a call, and a return from a process still in its
+        // call matches nothing, so a return never needs to skip a sleeper.
+        let cfg = cfg();
+        let mut sleepers = 0usize;
+        for opts in [ContentionOptions::new(3, 2), ContentionOptions::new(4, 2)] {
+            for trace in contention_traces(opts) {
+                let mut checker = Checker::new(&cfg, CheckOptions::default());
+                assert!(checker.check(&trace).accepted, "{}", trace.name);
+                for snap in &checker.snapshots {
+                    let LoopState { states, sleeps, .. } = &snap.after;
+                    for (st, sleep) in states.iter().zip(sleeps) {
+                        for (pid, _) in sleep {
+                            let run_state = st.proc(*pid).map(|p| &p.run_state);
+                            assert!(
+                                matches!(run_state, Some(ProcRunState::InCall(_))),
+                                "{} line {}: pid {pid} sleeps in {run_state:?}",
+                                trace.name,
+                                snap.lineno
+                            );
+                            sleepers += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(sleepers > 0, "no pid ever slept");
     }
 
     #[test]

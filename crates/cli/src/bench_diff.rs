@@ -194,8 +194,8 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
 
 /// Whether a bench participates in the regression gate. Of the contention
 /// checks only the reduced (`…/por`) rows are gated: a family that stops
-/// reducing slows down by orders of magnitude there, while the `no_por`
-/// rows only record the unreduced contrast.
+/// reducing dispatches as many calls as full expansion and slows down
+/// there, while the `no_por` rows only record the unreduced contrast.
 pub fn is_gated(name: &str) -> bool {
     name.starts_with("check_throughput")
         || name.starts_with("tau_closure_")

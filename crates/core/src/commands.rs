@@ -179,8 +179,8 @@ impl fmt::Display for OsCommand {
 /// The subset of `struct stat` fields tracked by the model.
 ///
 /// Device and inode numbers are implementation details and are not part of
-/// the abstract state; timestamps are tracked in the object metadata but are
-/// not observed (§1.2).
+/// the abstract state, and timestamps are neither observed nor modelled
+/// (§1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Stat {
     /// The kind of object (regular file, directory, symlink).

@@ -195,12 +195,13 @@ impl FromStr for Flavor {
 /// Whether the checker's τ-closure applies footprint-based partial-order
 /// reduction (see `crates/core/DESIGN_POR.md`).
 ///
-/// Under `Footprint` (the default), the closure explores one representative
+/// Under `Footprint` (the default), the closure dispatches one representative
 /// interleaving per commutativity class of in-flight calls, using sleep sets
-/// keyed off per-call [`crate::footprint::Footprint`]s; verdicts are
-/// unchanged, but the tracked state count for concurrent traces drops from
-/// factorial to near-linear. `Off` enumerates every interleaving, exactly as
-/// the paper's checker does.
+/// keyed off per-call [`crate::footprint::Footprint`]s. Interleaving orders
+/// reach equal states, so both modes track the same state sets and reach the
+/// same verdicts; POR only saves the dispatches of the orders it skips.
+/// `Off` dispatches every interleaving, exactly as the paper's checker
+/// does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PorMode {
     /// Enumerate every interleaving of in-flight calls.

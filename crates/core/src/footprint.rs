@@ -3,10 +3,9 @@
 //! Every in-flight [`OsCommand`] gets a cheap, state-concrete [`Footprint`]:
 //! the set of heap resources its τ-step (the `process_call` dispatch) reads
 //! and writes. Two commands whose footprints [`Footprint::commutes`] produce
-//! the *same* set of observationally-distinct states regardless of the order
-//! their τ-steps fire in, so the checker's τ-closure only needs to explore
-//! one order (see `crates/core/DESIGN_POR.md` for the argument and the
-//! conservatism rules).
+//! the *same* set of states regardless of the order their τ-steps fire in,
+//! so the checker's τ-closure only needs to dispatch them in one order (see
+//! `crates/core/DESIGN_POR.md` for the argument and the conservatism rules).
 //!
 //! Footprints are computed against the state the command is dispatched from,
 //! by re-running path resolution with a recording hook
@@ -44,8 +43,8 @@ use crate::types::{DirHandleId, Fd, Pid};
 /// One heap resource a command's τ-step reads or writes.
 ///
 /// The vocabulary is deliberately finer than "the directory": an entry
-/// write (`mkdir /d/a`) changes `/d`'s entry map, link count, and
-/// timestamps, but *not* its mode or owner — so it conflicts with a
+/// write (`mkdir /d/a`) changes `/d`'s entry map and link count, but *not*
+/// its mode or owner — so it conflicts with a
 /// concurrent `stat /d` (which reads `nlink` via [`Res::DirShapeRead`]) and
 /// a concurrent `readdir` on `/d`, but commutes with a sibling creation
 /// `mkdir /d/b` (whose permission check only reads [`Res::DirMetaRead`]).
@@ -468,26 +467,4 @@ pub fn return_effect_of(st: &OsState, pid: Pid) -> Option<Footprint> {
         Some(f) => Footprint { res: vec![Res::FileWrite(f)], may_conflict: false },
         None => Footprint::unbounded(),
     })
-}
-
-/// Canonical observational fingerprint of a state: everything a trace can
-/// distinguish, nothing it cannot.
-///
-/// Structural identity ([`OsState`]'s `Eq`/`Hash`) is finer than
-/// observational identity: heap reference ids and the logical clock depend
-/// on allocation *order*, which commuting τ-steps permute even though no
-/// return value ever exposes them. This fingerprint renumbers references in
-/// deterministic DFS-discovery order and skips timestamps and allocator
-/// cursors, so two states related by commuting reorderings hash equal. The
-/// footprint soundness proptest is stated in terms of this fingerprint.
-pub fn obs_fingerprint(st: &OsState) -> u64 {
-    crate::os::canonical_fingerprint(st)
-}
-
-/// Convenience used by tests: the multiset of observational fingerprints of
-/// a set of states, as a sorted list.
-pub fn obs_fingerprints<'a, I: IntoIterator<Item = &'a OsState>>(states: I) -> Vec<u64> {
-    let mut v: Vec<u64> = states.into_iter().map(obs_fingerprint).collect();
-    v.sort_unstable();
-    v
 }

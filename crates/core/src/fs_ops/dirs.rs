@@ -46,7 +46,8 @@ pub fn spec_mkdir(ctx: &SpecCtx<'_>, path: &ParsedPath, mode: FileMode) -> CmdOu
             }
             let mut new_st = ctx.st.clone();
             let meta = ctx.new_object_meta(mode);
-            new_st.heap.create_dir(parent, name, meta);
+            let Some(id) = new_st.new_id(ctx.pid) else { return CmdOutcome::from_checks(checks) };
+            new_st.heap.create_dir(parent, name, meta, id);
             new_st.notify_entry_added(parent, name);
             spec_point("mkdir/success");
             CmdOutcome::from_checks(checks).with_value(new_st, RetValue::None)

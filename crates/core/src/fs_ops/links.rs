@@ -160,8 +160,9 @@ pub fn spec_symlink(ctx: &SpecCtx<'_>, target: &ParsedPath, path: &ParsedPath) -
                 .unwrap_or(crate::flags::FileMode::new(0o777));
             let proc = ctx.st.proc(ctx.pid);
             let (uid, gid) = proc.map(|p| (p.euid, p.egid)).unwrap_or_default();
-            let meta = Meta::new(mode, uid, gid, ctx.st.heap.now());
-            new_st.heap.create_symlink(parent, name, target.clone(), meta);
+            let meta = Meta::new(mode, uid, gid);
+            let Some(id) = new_st.new_id(ctx.pid) else { return CmdOutcome::from_checks(checks) };
+            new_st.heap.create_symlink(parent, name, target.clone(), meta, id);
             new_st.notify_entry_added(parent, name);
             CmdOutcome::from_checks(checks).with_value(new_st, RetValue::None)
         }

@@ -36,10 +36,8 @@ pub fn spec_chmod(ctx: &SpecCtx<'_>, path: &ParsedPath, mode: FileMode) -> CmdOu
             (
                 dir.meta,
                 Box::new(move |st: &mut crate::os::OsState| {
-                    let now = st.heap.tick();
                     if let Some(d) = st.heap.dir_mut(dref) {
                         d.meta.mode = mode;
-                        d.meta.times.touch_ctime(now);
                     }
                 }),
             )
@@ -59,10 +57,8 @@ pub fn spec_chmod(ctx: &SpecCtx<'_>, path: &ParsedPath, mode: FileMode) -> CmdOu
             (
                 file.meta,
                 Box::new(move |st: &mut crate::os::OsState| {
-                    let now = st.heap.tick();
                     if let Some(f) = st.heap.file_mut(fref) {
                         f.meta.mode = mode;
-                        f.meta.times.touch_ctime(now);
                     }
                 }),
             )
@@ -146,20 +142,17 @@ pub fn spec_chown(ctx: &SpecCtx<'_>, path: &ParsedPath, uid: Uid, gid: Gid) -> C
     }
     spec_point("chown/success");
     let mut new_st = ctx.st.clone();
-    let now = new_st.heap.tick();
     match target {
         Entry::Dir(d) => {
             if let Some(dir) = new_st.heap.dir_mut(d) {
                 dir.meta.uid = uid;
                 dir.meta.gid = gid;
-                dir.meta.times.touch_ctime(now);
             }
         }
         Entry::File(f) => {
             if let Some(file) = new_st.heap.file_mut(f) {
                 file.meta.uid = uid;
                 file.meta.gid = gid;
-                file.meta.times.touch_ctime(now);
             }
         }
     }
@@ -242,8 +235,8 @@ mod tests {
         let mut st = OsState::initial_with_process(&cfg, Pid(1));
         // Create a root-owned directory entry by hand.
         let root = st.heap.root();
-        let meta = crate::state::Meta::new(FileMode::new(0o644), Uid(0), Gid(0), 1);
-        st.heap.create_file(root, "f", meta).unwrap();
+        let meta = crate::state::Meta::new(FileMode::new(0o644), Uid(0), Gid(0));
+        st.heap.create_file(root, "f", meta, 1).unwrap();
         let out = dispatch(&cfg, &st, Pid(1), &OsCommand::Chmod("/f".into(), FileMode::new(0o777)));
         assert!(out.must_fail);
         assert!(out.errors.contains(&Errno::EPERM));
@@ -254,8 +247,8 @@ mod tests {
         let cfg = SpecConfig::unprivileged(Flavor::Linux);
         let mut st = OsState::initial_with_process(&cfg, Pid(1));
         let root = st.heap.root();
-        let meta = crate::state::Meta::new(FileMode::new(0o644), Uid(1000), Gid(1000), 1);
-        st.heap.create_file(root, "f", meta).unwrap();
+        let meta = crate::state::Meta::new(FileMode::new(0o644), Uid(1000), Gid(1000));
+        st.heap.create_file(root, "f", meta, 1).unwrap();
         // Non-owner / non-root changing the owner: EPERM.
         st.proc_mut(Pid(1)).unwrap().euid = Uid(2000);
         let out = dispatch(&cfg, &st, Pid(1), &OsCommand::Chown("/f".into(), Uid(2000), Gid(2000)));

@@ -163,7 +163,7 @@ impl<'a> SpecCtx<'a> {
         let proc = self.st.proc(self.pid);
         let umask = proc.map(|p| p.umask).unwrap_or_else(|| FileMode::new(0o022));
         let (uid, gid) = proc.map(|p| (p.euid, p.egid)).unwrap_or_default();
-        Meta::new(requested.apply_umask(umask), uid, gid, self.st.heap.now())
+        Meta::new(requested.apply_umask(umask), uid, gid)
     }
 
     /// The check that a parent directory is still connected to the root: a

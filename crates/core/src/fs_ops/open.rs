@@ -7,10 +7,10 @@ use crate::flags::{FileMode, OpenFlags, SeekWhence};
 use crate::flavor::Flavor;
 use crate::fs_ops::{CmdOutcome, SpecCtx};
 use crate::monad::Checks;
-use crate::os::{FidState, FidTarget, Pending, SpecialKind};
+use crate::os::{FidState, FidTarget, OsState, Pending, SpecialKind};
 use crate::path::{FollowLast, ParsedPath, ResName};
 use crate::perms::Access;
-use crate::types::Fd;
+use crate::types::{Fd, Fid};
 
 /// `open(path, flags, mode)`: open (and possibly create) a file.
 pub fn spec_open(
@@ -92,10 +92,7 @@ pub fn spec_open(
                 return CmdOutcome::from_checks(checks);
             }
             spec_point("open/directory_read_only_success");
-            let mut new_st = ctx.st.clone();
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::Dir(dref), offset: 0, flags });
-            CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
+            opened(ctx, checks, ctx.st.clone(), FidTarget::Dir(dref), flags)
         }
         ResName::File { fref, is_symlink, trailing_slash, .. } => {
             let mut checks = creat_directory_checks.clone();
@@ -150,9 +147,7 @@ pub fn spec_open(
                 spec_point("open/existing_file_truncated");
                 new_st.heap.truncate(fref, 0);
             }
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::File(fref), offset: 0, flags });
-            CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
+            opened(ctx, checks, new_st, FidTarget::File(fref), flags)
         }
         ResName::None { parent, name, trailing_slash } => {
             if !flags.contains(OpenFlags::O_CREAT) {
@@ -176,15 +171,31 @@ pub fn spec_open(
             spec_point("open/create_new_file_success");
             let mut new_st = ctx.st.clone();
             let meta = ctx.new_object_meta(mode.unwrap_or_else(|| FileMode::new(0o666)));
-            let Some(fref) = new_st.heap.create_file(parent, name, meta) else {
+            let created = new_st
+                .new_id(ctx.pid)
+                .and_then(|id| new_st.heap.create_file(parent, name, meta, id));
+            let Some(fref) = created else {
                 return CmdOutcome::error(Errno::EEXIST);
             };
             new_st.notify_entry_added(parent, name);
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::File(fref), offset: 0, flags });
-            CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
+            opened(ctx, checks, new_st, FidTarget::File(fref), flags)
         }
     }
+}
+
+/// The success branch of an `open` that reached `target`: `new_st` with a new
+/// open file description, whose id comes from the caller's own history.
+fn opened(
+    ctx: &SpecCtx<'_>,
+    checks: Checks,
+    mut new_st: OsState,
+    target: FidTarget,
+    flags: OpenFlags,
+) -> CmdOutcome {
+    let outcome = CmdOutcome::from_checks(checks);
+    let Some(fid) = new_st.new_id(ctx.pid).map(Fid) else { return outcome };
+    new_st.fids.insert(fid, FidState { target, offset: 0, flags });
+    outcome.with_success(new_st, Pending::NewFd { fid })
 }
 
 /// `close(fd)`: close a file descriptor.

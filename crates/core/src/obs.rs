@@ -625,7 +625,7 @@ impl MetricsSnapshot {
 // ---------------------------------------------------------------------------
 
 /// One completed span: a named, categorized interval on one thread.
-/// Timestamps are nanoseconds since the process trace epoch.
+/// Times are nanoseconds, `ts_ns` since the process trace epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     pub name: &'static str,

@@ -247,11 +247,18 @@ pub struct PerProcessState {
     pub egid: Gid,
     /// Whether the process is idle, in a call, or awaiting a return.
     pub run_state: ProcRunState,
+    /// The last id this process handed out for a new directory, file or open
+    /// file description (at first, the base of its range). The high 32 bits
+    /// are the process's incarnation and the low 32 count its allocations,
+    /// so an id depends on this process's own history only: no interleaving
+    /// with other processes changes it.
+    next_id: u64,
 }
 
 impl PerProcessState {
-    /// A fresh process with the given credentials whose cwd is `cwd`.
-    pub fn new(cwd: DirRef, euid: Uid, egid: Gid) -> PerProcessState {
+    /// A fresh process with the given credentials whose cwd is `cwd`, the
+    /// `incarnation`-th process of its state.
+    pub(crate) fn new(cwd: DirRef, euid: Uid, egid: Gid, incarnation: u64) -> PerProcessState {
         PerProcessState {
             cwd,
             fds: BTreeMap::new(),
@@ -260,6 +267,7 @@ impl PerProcessState {
             euid,
             egid,
             run_state: ProcRunState::Ready,
+            next_id: incarnation << 32,
         }
     }
 }
@@ -308,6 +316,11 @@ impl std::fmt::Debug for FingerprintCell {
 
 /// The top-level state of the model: the `ty_os_state` of the Lem model.
 ///
+/// Nothing in it depends on the order in which τ steps processed the calls
+/// of different processes: each object id comes from the history of the
+/// process that created it, and no clock is kept, so commuting calls reach
+/// one equal state in either order.
+///
 /// Branching transitions clone the whole state, so the heavyweight components
 /// — the directory heap's object maps and each per-process table — sit behind
 /// [`Arc`]s with copy-on-write mutation (`Arc::make_mut`): a clone shares all
@@ -324,14 +337,17 @@ pub struct OsState {
     /// Per-process state (`oss_pid_table`). The table entries are shared
     /// copy-on-write between branches; mutate through [`OsState::proc_mut`].
     pub procs: BTreeMap<Pid, Arc<PerProcessState>>,
-    next_fid: u64,
+    /// How many processes this state has created. Only `Create` labels
+    /// advance it, and every state of a checked set sees those in the same
+    /// trace order.
+    incarnations: u64,
     fingerprint: FingerprintCell,
 }
 
 impl PartialEq for OsState {
     fn eq(&self, other: &OsState) -> bool {
         // The fingerprint cache is excluded: it is derived data.
-        self.next_fid == other.next_fid
+        self.incarnations == other.incarnations
             && self.heap == other.heap
             && self.fids == other.fids
             && self.groups == other.groups
@@ -347,7 +363,7 @@ impl Hash for OsState {
         self.fids.hash(state);
         self.groups.hash(state);
         self.procs.hash(state);
-        self.next_fid.hash(state);
+        self.incarnations.hash(state);
     }
 }
 
@@ -359,7 +375,7 @@ impl OsState {
             fids: BTreeMap::new(),
             groups: GroupTable::new(),
             procs: BTreeMap::new(),
-            next_fid: 1,
+            incarnations: 0,
             fingerprint: FingerprintCell::default(),
         }
     }
@@ -387,17 +403,27 @@ impl OsState {
         let mut st = OsState::initial();
         let (uid, gid) =
             if cfg.root_user { (Uid(0), Gid(0)) } else { (Uid(1000), Gid(1000)) };
-        let root = st.heap.root();
-        st.procs.insert(pid, Arc::new(PerProcessState::new(root, uid, gid)));
+        st.add_process(pid, uid, gid);
         st
     }
 
-    /// Allocate a fresh OS-level file description id.
-    pub fn fresh_fid(&mut self) -> Fid {
+    /// Add a process with cwd `/`, as a new incarnation: its object ids
+    /// follow no id that an earlier process, of this pid or another, handed
+    /// out.
+    pub(crate) fn add_process(&mut self, pid: Pid, uid: Uid, gid: Gid) {
         self.fingerprint.invalidate();
-        let id = self.next_fid;
-        self.next_fid += 1;
-        Fid(id)
+        self.incarnations += 1;
+        let proc = PerProcessState::new(self.heap.root(), uid, gid, self.incarnations);
+        self.procs.insert(pid, Arc::new(proc));
+    }
+
+    /// A new id for an object `pid` creates (a directory, a file, or an open
+    /// file description), drawn from `pid`'s own history; `None` if `pid`
+    /// has no process.
+    pub(crate) fn new_id(&mut self, pid: Pid) -> Option<u64> {
+        let proc = self.proc_mut(pid)?;
+        proc.next_id += 1;
+        Some(proc.next_id)
     }
 
     /// The credentials the given process presents, or `None` when the
@@ -480,239 +506,6 @@ impl Default for OsState {
     }
 }
 
-/// Canonical *observational* fingerprint of a state.
-///
-/// Structural identity ([`OsState`]'s `Eq`/`Hash`) distinguishes states by
-/// raw heap reference ids, fid ids, the allocator cursors, and per-object
-/// logical timestamps — all artifacts of the *order* operations were
-/// dispatched in, none of which ever appears in a matched return value
-/// (`Stat` carries kind/size/nlink/mode/uid/gid only; fd and handle numbers
-/// come from the observed trace, not the allocator). This fingerprint hashes
-/// the state up to a canonical renumbering of references in deterministic
-/// discovery order (root DFS by entry name, then processes in pid order) and
-/// skips timestamps and allocator cursors, so two states related by a
-/// commuting reordering of τ-steps hash equal. Objects reachable from
-/// nothing (no entry, no descriptor, no handle, no cwd) are unobservable and
-/// are skipped.
-///
-/// Used by the POR soundness proptest and the footprint layer
-/// (`crate::footprint::obs_fingerprint`); the checker itself keeps using the
-/// exact structural [`state_set::StateSet`] dedup.
-pub fn canonical_fingerprint(st: &OsState) -> u64 {
-    use std::collections::HashMap;
-
-    struct Canon<'a> {
-        st: &'a OsState,
-        h: state_set::FxHasher64,
-        dirs: HashMap<u64, u64>,
-        files: HashMap<u64, u64>,
-        fids: HashMap<u64, u64>,
-    }
-
-    impl Canon<'_> {
-        /// Canonical id of a directory; hashes its observable content
-        /// (meta sans times, parent link, entries, recursively) on first
-        /// discovery.
-        fn dir_id(&mut self, d: DirRef) -> u64 {
-            if let Some(&id) = self.dirs.get(&d.0) {
-                return id;
-            }
-            let id = self.dirs.len() as u64;
-            self.dirs.insert(d.0, id);
-            0xD1u8.hash(&mut self.h);
-            id.hash(&mut self.h);
-            let st = self.st;
-            if let Some(dir) = st.heap.dir(d) {
-                dir.meta.mode.hash(&mut self.h);
-                dir.meta.uid.hash(&mut self.h);
-                dir.meta.gid.hash(&mut self.h);
-                match dir.parent {
-                    Some(p) => {
-                        1u8.hash(&mut self.h);
-                        let pid = self.dir_id(p);
-                        pid.hash(&mut self.h);
-                    }
-                    None => 0u8.hash(&mut self.h),
-                }
-                dir.entries.len().hash(&mut self.h);
-                for (name, entry) in dir.entries.iter() {
-                    name.hash(&mut self.h);
-                    match *entry {
-                        crate::state::Entry::Dir(c) => {
-                            0u8.hash(&mut self.h);
-                            let cid = self.dir_id(c);
-                            cid.hash(&mut self.h);
-                        }
-                        crate::state::Entry::File(f) => {
-                            1u8.hash(&mut self.h);
-                            let fid = self.file_id(f);
-                            fid.hash(&mut self.h);
-                        }
-                    }
-                }
-            }
-            id
-        }
-
-        /// Canonical id of a file; hashes content/meta/nlink on first
-        /// discovery (hard links to an already-seen file hash only the id).
-        fn file_id(&mut self, f: FileRef) -> u64 {
-            if let Some(&id) = self.files.get(&f.0) {
-                return id;
-            }
-            let id = self.files.len() as u64;
-            self.files.insert(f.0, id);
-            0xF1u8.hash(&mut self.h);
-            id.hash(&mut self.h);
-            if let Some(file) = self.st.heap.file(f) {
-                match &file.content {
-                    crate::state::FileContent::Regular(data) => {
-                        0u8.hash(&mut self.h);
-                        data.hash(&mut self.h);
-                    }
-                    crate::state::FileContent::Symlink(target) => {
-                        1u8.hash(&mut self.h);
-                        target.as_str().hash(&mut self.h);
-                    }
-                }
-                file.meta.mode.hash(&mut self.h);
-                file.meta.uid.hash(&mut self.h);
-                file.meta.gid.hash(&mut self.h);
-                file.nlink.hash(&mut self.h);
-            }
-            id
-        }
-
-        /// Canonical id of an open file description; hashes target/offset/
-        /// flags on first discovery.
-        fn fid_id(&mut self, fid: Fid) -> u64 {
-            if let Some(&id) = self.fids.get(&fid.0) {
-                return id;
-            }
-            let id = self.fids.len() as u64;
-            self.fids.insert(fid.0, id);
-            0xFDu8.hash(&mut self.h);
-            id.hash(&mut self.h);
-            let st = self.st;
-            if let Some(fs) = st.fids.get(&fid) {
-                match fs.target {
-                    FidTarget::File(f) => {
-                        0u8.hash(&mut self.h);
-                        let fi = self.file_id(f);
-                        fi.hash(&mut self.h);
-                    }
-                    FidTarget::Dir(d) => {
-                        1u8.hash(&mut self.h);
-                        let di = self.dir_id(d);
-                        di.hash(&mut self.h);
-                    }
-                }
-                fs.offset.hash(&mut self.h);
-                fs.flags.hash(&mut self.h);
-            }
-            id
-        }
-
-        fn pending(&mut self, p: &Pending) {
-            match p {
-                Pending::Errors(errs) => {
-                    0u8.hash(&mut self.h);
-                    errs.hash(&mut self.h);
-                }
-                Pending::Value(v) => {
-                    1u8.hash(&mut self.h);
-                    v.hash(&mut self.h);
-                }
-                Pending::StatValue { expected, check_mode, check_owner } => {
-                    2u8.hash(&mut self.h);
-                    expected.hash(&mut self.h);
-                    check_mode.hash(&mut self.h);
-                    check_owner.hash(&mut self.h);
-                }
-                Pending::NewFd { fid } => {
-                    3u8.hash(&mut self.h);
-                    let id = self.fid_id(*fid);
-                    id.hash(&mut self.h);
-                }
-                Pending::NewDirHandle { handle } => {
-                    4u8.hash(&mut self.h);
-                    let d = self.dir_id(handle.dir);
-                    d.hash(&mut self.h);
-                    handle.must.hash(&mut self.h);
-                    handle.may.hash(&mut self.h);
-                    handle.returned.hash(&mut self.h);
-                }
-                Pending::ReadData { fd, data } => {
-                    5u8.hash(&mut self.h);
-                    fd.hash(&mut self.h);
-                    data.hash(&mut self.h);
-                }
-                Pending::WriteData { fd, data, at } => {
-                    6u8.hash(&mut self.h);
-                    fd.hash(&mut self.h);
-                    data.hash(&mut self.h);
-                    at.hash(&mut self.h);
-                }
-                Pending::ReaddirEntry { dh } => {
-                    7u8.hash(&mut self.h);
-                    dh.hash(&mut self.h);
-                }
-                Pending::Special(k) => {
-                    8u8.hash(&mut self.h);
-                    k.hash(&mut self.h);
-                }
-            }
-        }
-    }
-
-    let mut c = Canon {
-        st,
-        h: state_set::FxHasher64::default(),
-        dirs: HashMap::new(),
-        files: HashMap::new(),
-        fids: HashMap::new(),
-    };
-    let root = c.dir_id(st.heap.root());
-    root.hash(&mut c.h);
-    st.groups.hash(&mut c.h);
-    st.procs.len().hash(&mut c.h);
-    for (pid, p) in &st.procs {
-        pid.hash(&mut c.h);
-        let cwd = c.dir_id(p.cwd);
-        cwd.hash(&mut c.h);
-        p.umask.hash(&mut c.h);
-        p.euid.hash(&mut c.h);
-        p.egid.hash(&mut c.h);
-        p.fds.len().hash(&mut c.h);
-        for (fd, fid) in &p.fds {
-            fd.hash(&mut c.h);
-            let id = c.fid_id(*fid);
-            id.hash(&mut c.h);
-        }
-        p.dir_handles.len().hash(&mut c.h);
-        for (dh, hs) in &p.dir_handles {
-            dh.hash(&mut c.h);
-            let d = c.dir_id(hs.dir);
-            d.hash(&mut c.h);
-            hs.must.hash(&mut c.h);
-            hs.may.hash(&mut c.h);
-            hs.returned.hash(&mut c.h);
-        }
-        match &p.run_state {
-            ProcRunState::Ready => 0u8.hash(&mut c.h),
-            ProcRunState::InCall(cmd) => {
-                1u8.hash(&mut c.h);
-                cmd.hash(&mut c.h);
-            }
-            ProcRunState::Pending(pe) => {
-                2u8.hash(&mut c.h);
-                c.pending(pe);
-            }
-        }
-    }
-    c.h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,11 +539,22 @@ mod tests {
     }
 
     #[test]
-    fn fresh_fids_are_distinct() {
-        let mut st = OsState::initial();
-        let a = st.fresh_fid();
-        let b = st.fresh_fid();
-        assert_ne!(a, b);
+    fn ids_come_from_the_creating_process_alone() {
+        let cfg = SpecConfig::standard(Flavor::Posix);
+        let mut st = OsState::initial_with_process(&cfg, Pid(1));
+        st.add_process(Pid(2), Uid(0), Gid(0));
+        let mut other_first = st.clone();
+        other_first.new_id(Pid(2));
+        // Pid 1's ids do not depend on what pid 2 allocated before.
+        let a = st.new_id(Pid(1)).unwrap();
+        assert_eq!(other_first.new_id(Pid(1)), Some(a));
+        assert_ne!(st.new_id(Pid(1)), Some(a));
+        assert_eq!(st.new_id(Pid(9)), None);
+        // A pid created again is a new incarnation and never reuses an id.
+        let b = st.new_id(Pid(2)).unwrap();
+        st.procs.remove(&Pid(2));
+        st.add_process(Pid(2), Uid(0), Gid(0));
+        assert!(st.new_id(Pid(2)).unwrap() > b);
     }
 
     #[test]

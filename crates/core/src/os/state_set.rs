@@ -185,12 +185,23 @@ impl<'a> IntoIterator for &'a StateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flags::FileMode;
     use crate::flavor::{Flavor, SpecConfig};
     use crate::types::{Pid, INITIAL_PID};
     use std::hash::Hasher;
 
     fn initial() -> OsState {
         OsState::initial_with_process(&SpecConfig::standard(Flavor::Linux), INITIAL_PID)
+    }
+
+    /// The initial state with the initial process's umask set to `mask`: a
+    /// cheap way to make distinct states.
+    fn with_umask(mask: u32) -> OsState {
+        let mut st = initial();
+        if let Some(p) = st.proc_mut(INITIAL_PID) {
+            p.umask = FileMode::new(mask);
+        }
+        st
     }
 
     #[test]
@@ -206,8 +217,7 @@ mod tests {
     fn distinct_states_are_kept_in_insertion_order() {
         let mut set = StateSet::new();
         let a = initial();
-        let mut b = initial();
-        b.heap.tick();
+        let b = with_umask(0o077);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert!(set.insert(a.clone()));
         assert!(set.insert(b.clone()));
@@ -219,10 +229,8 @@ mod tests {
     #[test]
     fn truncate_drops_states_and_index_entries() {
         let mut set = StateSet::new();
-        let mut st = initial();
-        for _ in 0..4 {
-            set.insert(st.clone());
-            st.heap.tick();
+        for mask in 0..4 {
+            set.insert(with_umask(mask));
         }
         assert_eq!(set.len(), 4);
         let survivor = set.states()[1].clone();

@@ -20,7 +20,7 @@ use crate::flavor::{PorMode, SpecConfig};
 use crate::fs_ops;
 use crate::obs;
 use crate::os::state_set::StateSet;
-use crate::os::{FidTarget, OsState, Pending, PerProcessState, ProcRunState, WriteAt};
+use crate::os::{FidTarget, OsState, Pending, ProcRunState, WriteAt};
 use crate::types::{DirHandleId, Fd, Pid};
 
 /// The sleep set attached to one tracked state: processes whose in-flight
@@ -28,12 +28,12 @@ use crate::types::{DirHandleId, Fd, Pid};
 /// state commutes with, paired with that call's [`Footprint`].
 ///
 /// Invariant (the classic sleep-set invariant, extended across checker
-/// labels): for every `(q, fp)` in a state's sleep set, every behaviour
-/// reachable by processing `q`'s call *first* from this state is
-/// observationally represented by some other tracked state. Processing `q`
-/// from here — by τ or by `q`'s return label — can therefore be skipped.
-/// The footprint is kept so later transitions can *wake* `q` (drop it from
-/// the sleep set) when they stop commuting with it.
+/// labels): for every `(q, fp)` in a state's sleep set, `q`'s call is still
+/// in flight, and every state reachable by processing it *first* from this
+/// state is reached from some other tracked state too. Dispatching `q` from
+/// here can therefore be skipped. The footprint is kept so later transitions
+/// can *wake* `q` (drop it from the sleep set) when they stop commuting with
+/// it.
 pub type SleepSet = Vec<(Pid, Arc<Footprint>)>;
 
 /// Whether footprint-based POR is active under this configuration.
@@ -56,8 +56,7 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             }
             spec_point("os/create_process");
             let mut new_st = st.clone();
-            let root = new_st.heap.root();
-            new_st.procs.insert(*pid, Arc::new(PerProcessState::new(root, *uid, *gid)));
+            new_st.add_process(*pid, *uid, *gid);
             out.insert(new_st);
         }
         OsLabel::Destroy(pid) => {
@@ -169,7 +168,9 @@ pub fn tau_close(cfg: &SpecConfig, states: &mut StateSet) {
 /// set records the earlier-processed calls its own call commutes with (per
 /// [`Footprint::commutes`]). A sleeping process is never expanded — the
 /// interleaving that runs it first was already explored from a sibling — so
-/// commuting calls contribute one interleaving order instead of all `n!`.
+/// commuting calls are dispatched in one interleaving order instead of all
+/// `n!`. Every order reaches equal states, so the set tracked is the same
+/// with POR on or off; POR saves the dispatches.
 /// When a successor is already tracked, its sleep set is intersected with the
 /// new path's (a state reached two ways may only sleep what both ways may
 /// skip) and it is re-explored if that intersection woke anything. The
@@ -988,6 +989,11 @@ mod tests {
         st
     }
 
+    /// Whether two closures track the same states, in any order.
+    fn same_states(a: &StateSet, b: &StateSet) -> bool {
+        a.len() == b.len() && a.iter().all(|st| b.contains(st))
+    }
+
     #[test]
     fn por_closure_prunes_commuting_interleavings() {
         let calls = [
@@ -1005,23 +1011,12 @@ mod tests {
         let mut sleeps = vec![SleepSet::new()];
         tau_close_with_sleeps(&on, &mut reduced, &mut sleeps);
 
-        // Distinct creation orders allocate distinct heap refs, so the full
-        // closure keeps one state per interleaving prefix; POR keeps one
-        // representative order for the all-commuting calls.
-        assert!(
-            reduced.len() < full.len(),
-            "POR did not prune: {} vs {}",
-            reduced.len(),
-            full.len()
-        );
+        // Every creation order reaches the same state, so both closures
+        // track the same set; POR gets there dispatching fewer calls, and a
+        // call left asleep is one it did not dispatch.
+        assert!(same_states(&full, &reduced), "{} vs {} states", full.len(), reduced.len());
         assert_eq!(sleeps.len(), reduced.len());
-        // The pruned states are exactly the re-orderings: every reduced state
-        // is observationally present in the full closure.
-        let full_fps: Vec<u64> = crate::footprint::obs_fingerprints(full.iter());
-        for st in &reduced {
-            let fp = crate::footprint::obs_fingerprint(st);
-            assert!(full_fps.binary_search(&fp).is_ok());
-        }
+        assert!(sleeps.iter().any(|s| !s.is_empty()), "POR skipped no dispatch");
     }
 
     #[test]
@@ -1041,9 +1036,7 @@ mod tests {
         let mut reduced = StateSet::singleton(st);
         tau_close(&on, &mut reduced);
 
-        let full_fps = crate::footprint::obs_fingerprints(full.iter());
-        let reduced_fps = crate::footprint::obs_fingerprints(reduced.iter());
-        assert_eq!(full_fps, reduced_fps);
+        assert!(same_states(&full, &reduced), "{} vs {} states", full.len(), reduced.len());
     }
 
     #[test]

@@ -726,21 +726,21 @@ mod tests {
     use crate::types::{Gid, Uid};
 
     fn meta() -> Meta {
-        Meta::new(FileMode::new(0o755), Uid(0), Gid(0), 1)
+        Meta::new(FileMode::new(0o755), Uid(0), Gid(0))
     }
 
     /// Build the standard fixture:
     /// `/d1` (dir), `/d1/f1` (file), `/s_d1 -> d1`, `/s_f1 -> d1/f1`,
-    /// `/broken -> nowhere`, `/loop -> loop`.
+    /// `/broken -> nowhere`, `/loop -> loop`, with ids 1 to 6.
     fn fixture() -> (DirHeap, DirRef) {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let d1 = h.create_dir(root, "d1", meta()).unwrap();
-        h.create_file(d1, "f1", meta()).unwrap();
-        h.create_symlink(root, "s_d1", "d1", meta()).unwrap();
-        h.create_symlink(root, "s_f1", "d1/f1", meta()).unwrap();
-        h.create_symlink(root, "broken", "nowhere", meta()).unwrap();
-        h.create_symlink(root, "loop", "loop", meta()).unwrap();
+        let d1 = h.create_dir(root, "d1", meta(), 1).unwrap();
+        h.create_file(d1, "f1", meta(), 2).unwrap();
+        h.create_symlink(root, "s_d1", "d1", meta(), 3).unwrap();
+        h.create_symlink(root, "s_f1", "d1/f1", meta(), 4).unwrap();
+        h.create_symlink(root, "broken", "nowhere", meta(), 5).unwrap();
+        h.create_symlink(root, "loop", "loop", meta(), 6).unwrap();
         (h, root)
     }
 
@@ -833,7 +833,7 @@ mod tests {
         // 8 `.` components + `d1` = 9 spliced components, past INLINE_SPLICE,
         // so this exercises the SplicedPath heap-spill path end to end.
         let dots = "./".repeat(INLINE_SPLICE);
-        h.create_symlink(root, "deep", format!("{dots}d1").as_str(), meta()).unwrap();
+        h.create_symlink(root, "deep", format!("{dots}d1").as_str(), meta(), 7).unwrap();
         let c = ctx(&h, root);
         assert!(resolve(&c, "/deep", FollowLast::Follow).is_dir());
         // With a tail after the symlink the splice is even longer.
@@ -998,7 +998,7 @@ mod tests {
     fn overlong_component_behind_symlink_splice_is_detected() {
         let (mut h, root) = fixture();
         let long_name = "z".repeat(NAME_MAX + 1);
-        h.create_symlink(root, "s_long", format!("d1/{long_name}").as_str(), meta()).unwrap();
+        h.create_symlink(root, "s_long", format!("d1/{long_name}").as_str(), meta(), 7).unwrap();
         let c = ctx(&h, root);
         // The overlong component lives inside the spliced target.
         assert_eq!(
@@ -1015,7 +1015,7 @@ mod tests {
     #[test]
     fn dotdot_of_disconnected_dir_fails() {
         let (mut h, root) = fixture();
-        let d = h.create_dir(root, "gone", meta()).unwrap();
+        let d = h.create_dir(root, "gone", meta(), 7).unwrap();
         h.remove_entry(root, "gone");
         let c = ctx(&h, d);
         assert_eq!(resolve(&c, "../anything", FollowLast::Follow), ResName::Err(Errno::ENOENT));

@@ -134,7 +134,7 @@ mod tests {
 
     fn meta(mode: u32, uid: u32, gid: u32) -> Meta {
         let _ = FileKind::Regular;
-        Meta::new(FileMode::new(mode), Uid(uid), Gid(gid), 0)
+        Meta::new(FileMode::new(mode), Uid(uid), Gid(gid))
     }
 
     #[test]

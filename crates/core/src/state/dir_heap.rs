@@ -128,7 +128,7 @@ pub struct Dir {
     /// The parent directory, or `None` for the root and for disconnected
     /// directories.
     pub parent: Option<DirRef>,
-    /// Ownership, permissions, timestamps.
+    /// Ownership and permissions.
     pub meta: Meta,
     /// Cached structural hash (see [`HashCell`]); not part of the object's
     /// identity.
@@ -198,7 +198,7 @@ impl Hash for Dir {
 pub struct File {
     /// Regular data or symlink target.
     pub content: FileContent,
-    /// Ownership, permissions, timestamps.
+    /// Ownership and permissions.
     pub meta: Meta,
     /// The hard-link count (number of directory entries referring to this
     /// file). A value of zero means the file is disconnected but may still be
@@ -265,6 +265,10 @@ impl Hash for File {
 
 /// The directory-heap file-system state.
 ///
+/// The heap allocates no ids: each creation names the id of its new object,
+/// which the OS state draws from the creating process's own history, so two
+/// orders of the same calls build equal heaps.
+///
 /// Both object maps and every object within them are behind [`Arc`]s: cloning
 /// a heap is two reference-count bumps, and mutation goes through
 /// `Arc::make_mut` so a branch that modifies one directory copies only the
@@ -275,9 +279,6 @@ pub struct DirHeap {
     dirs: Arc<BTreeMap<u64, Arc<Dir>>>,
     files: Arc<BTreeMap<u64, Arc<File>>>,
     root: DirRef,
-    next_id: u64,
-    /// The logical clock used for timestamps.
-    now: u64,
 }
 
 impl Hash for DirHeap {
@@ -296,8 +297,6 @@ impl Hash for DirHeap {
             state.write_u64(file.content_hash());
         }
         self.root.hash(state);
-        self.next_id.hash(state);
-        self.now.hash(state);
     }
 }
 
@@ -307,17 +306,8 @@ impl DirHeap {
     pub fn new(root_mode: FileMode, uid: Uid, gid: Gid) -> DirHeap {
         let mut dirs = BTreeMap::new();
         let root = DirRef(0);
-        dirs.insert(
-            0,
-            Arc::new(Dir::new(BTreeMap::new(), None, Meta::new(root_mode, uid, gid, 0))),
-        );
-        DirHeap {
-            dirs: Arc::new(dirs),
-            files: Arc::new(BTreeMap::new()),
-            root,
-            next_id: 1,
-            now: 1,
-        }
+        dirs.insert(0, Arc::new(Dir::new(BTreeMap::new(), None, Meta::new(root_mode, uid, gid))));
+        DirHeap { dirs: Arc::new(dirs), files: Arc::new(BTreeMap::new()), root }
     }
 
     /// An empty file system with conventional root ownership (`root:root`,
@@ -329,23 +319,6 @@ impl DirHeap {
     /// The root directory reference.
     pub fn root(&self) -> DirRef {
         self.root
-    }
-
-    /// Advance and return the logical clock.
-    pub fn tick(&mut self) -> u64 {
-        self.now += 1;
-        self.now
-    }
-
-    /// The current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     /// Look up a directory object.
@@ -453,7 +426,8 @@ impl DirHeap {
         base + subdirs
     }
 
-    /// Create a new empty directory as `name` within `parent`.
+    /// Create a new empty directory as `name` within `parent`, with the
+    /// unused id `id`.
     ///
     /// Returns `None` if `parent` does not exist or `name` is already taken.
     pub fn create_dir(
@@ -461,40 +435,42 @@ impl DirHeap {
         parent: DirRef,
         name: impl Into<Name>,
         meta: Meta,
+        id: u64,
     ) -> Option<DirRef> {
         let name = name.into();
         if self.dir(parent)?.entries.contains_key(&name) {
             return None;
         }
-        let id = self.fresh_id();
-        Arc::make_mut(&mut self.dirs)
-            .insert(id, Arc::new(Dir::new(BTreeMap::new(), Some(parent), meta)));
-        let now = self.tick();
-        let pdir = self.dir_mut(parent)?;
-        pdir.entries.insert(name, Entry::Dir(DirRef(id)));
-        pdir.meta.times.touch_mtime(now);
+        let dirs = Arc::make_mut(&mut self.dirs);
+        debug_assert!(!dirs.contains_key(&id), "directory id {id} is taken");
+        dirs.insert(id, Arc::new(Dir::new(BTreeMap::new(), Some(parent), meta)));
+        self.dir_mut(parent)?.entries.insert(name, Entry::Dir(DirRef(id)));
         Some(DirRef(id))
     }
 
-    /// Create a new regular file as `name` within `parent`.
+    /// Create a new regular file as `name` within `parent`, with the unused
+    /// id `id`.
     pub fn create_file(
         &mut self,
         parent: DirRef,
         name: impl Into<Name>,
         meta: Meta,
+        id: u64,
     ) -> Option<FileRef> {
-        self.create_file_with(parent, name.into(), meta, FileContent::Regular(Vec::new()))
+        self.create_file_with(parent, name.into(), meta, FileContent::Regular(Vec::new()), id)
     }
 
-    /// Create a new symlink as `name` within `parent` pointing at `target`.
+    /// Create a new symlink as `name` within `parent` pointing at `target`,
+    /// with the unused id `id`.
     pub fn create_symlink(
         &mut self,
         parent: DirRef,
         name: impl Into<Name>,
         target: impl Into<ParsedPath>,
         meta: Meta,
+        id: u64,
     ) -> Option<FileRef> {
-        self.create_file_with(parent, name.into(), meta, FileContent::Symlink(target.into()))
+        self.create_file_with(parent, name.into(), meta, FileContent::Symlink(target.into()), id)
     }
 
     fn create_file_with(
@@ -503,16 +479,15 @@ impl DirHeap {
         name: Name,
         meta: Meta,
         content: FileContent,
+        id: u64,
     ) -> Option<FileRef> {
         if self.dir(parent)?.entries.contains_key(&name) {
             return None;
         }
-        let id = self.fresh_id();
-        Arc::make_mut(&mut self.files).insert(id, Arc::new(File::new(content, meta, 1)));
-        let now = self.tick();
-        let pdir = self.dir_mut(parent)?;
-        pdir.entries.insert(name, Entry::File(FileRef(id)));
-        pdir.meta.times.touch_mtime(now);
+        let files = Arc::make_mut(&mut self.files);
+        debug_assert!(!files.contains_key(&id), "file id {id} is taken");
+        files.insert(id, Arc::new(File::new(content, meta, 1)));
+        self.dir_mut(parent)?.entries.insert(name, Entry::File(FileRef(id)));
         Some(FileRef(id))
     }
 
@@ -527,14 +502,11 @@ impl DirHeap {
             Some(d) if !d.entries.contains_key(&name) => {}
             _ => return false,
         }
-        let now = self.tick();
         if let Some(d) = self.dir_mut(parent) {
             d.entries.insert(name, Entry::File(file));
-            d.meta.times.touch_mtime(now);
         }
         if let Some(f) = self.file_mut(file) {
             f.nlink += 1;
-            f.meta.times.touch_ctime(now);
         }
         true
     }
@@ -550,10 +522,8 @@ impl DirHeap {
         if self.dir(d).is_none() {
             return false;
         }
-        let now = self.tick();
         if let Some(p) = self.dir_mut(parent) {
             p.entries.insert(name, Entry::Dir(d));
-            p.meta.times.touch_mtime(now);
         }
         if let Some(dd) = self.dir_mut(d) {
             dd.parent = Some(parent);
@@ -570,16 +540,13 @@ impl DirHeap {
     pub fn remove_entry(&mut self, parent: DirRef, name: impl Into<Name>) -> Option<Entry> {
         let name = name.into();
         let entry = self.dir(parent)?.entries.get(&name).copied()?;
-        let now = self.tick();
         if let Some(p) = self.dir_mut(parent) {
             p.entries.remove(&name);
-            p.meta.times.touch_mtime(now);
         }
         match entry {
             Entry::File(f) => {
                 if let Some(file) = self.file_mut(f) {
                     file.nlink = file.nlink.saturating_sub(1);
-                    file.meta.times.touch_ctime(now);
                 }
             }
             Entry::Dir(d) => {
@@ -639,7 +606,6 @@ impl DirHeap {
             // also keeps an extreme offset from forcing a huge allocation.
             return 0;
         }
-        let now = self.tick();
         match self.file_mut(f) {
             Some(file) => match &mut file.content {
                 FileContent::Regular(existing) => {
@@ -652,7 +618,6 @@ impl DirHeap {
                         existing.resize(end, 0);
                     }
                     existing[off..end].copy_from_slice(data);
-                    file.meta.times.touch_mtime(now);
                     data.len()
                 }
                 FileContent::Symlink(_) => 0,
@@ -663,12 +628,10 @@ impl DirHeap {
 
     /// Truncate (or extend with zeros) a regular file to `len` bytes.
     pub fn truncate(&mut self, f: FileRef, len: u64) -> bool {
-        let now = self.tick();
         match self.file_mut(f) {
             Some(file) => match &mut file.content {
                 FileContent::Regular(data) => {
                     data.resize(len as usize, 0);
-                    file.meta.times.touch_mtime(now);
                     true
                 }
                 FileContent::Symlink(_) => false,
@@ -705,7 +668,7 @@ mod tests {
     use super::*;
 
     fn meta() -> Meta {
-        Meta::new(FileMode::new(0o755), Uid(0), Gid(0), 1)
+        Meta::new(FileMode::new(0o755), Uid(0), Gid(0))
     }
 
     #[test]
@@ -721,8 +684,8 @@ mod tests {
     fn create_and_lookup() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let d = h.create_dir(root, "d", meta()).unwrap();
-        let f = h.create_file(d, "f", meta()).unwrap();
+        let d = h.create_dir(root, "d", meta(), 1).unwrap();
+        let f = h.create_file(d, "f", meta(), 2).unwrap();
         assert_eq!(h.lookup(root, "d"), Some(Entry::Dir(d)));
         assert_eq!(h.lookup(d, "f"), Some(Entry::File(f)));
         assert_eq!(h.lookup(root, "missing"), None);
@@ -735,16 +698,16 @@ mod tests {
     fn duplicate_names_rejected() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        assert!(h.create_dir(root, "x", meta()).is_some());
-        assert!(h.create_dir(root, "x", meta()).is_none());
-        assert!(h.create_file(root, "x", meta()).is_none());
+        assert!(h.create_dir(root, "x", meta(), 1).is_some());
+        assert!(h.create_dir(root, "x", meta(), 2).is_none());
+        assert!(h.create_file(root, "x", meta(), 3).is_none());
     }
 
     #[test]
     fn hard_links_bump_and_drop_nlink() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let f = h.create_file(root, "a", meta()).unwrap();
+        let f = h.create_file(root, "a", meta(), 1).unwrap();
         assert!(h.add_link(root, "b", f));
         assert_eq!(h.file(f).unwrap().nlink, 2);
         h.remove_entry(root, "a");
@@ -759,7 +722,7 @@ mod tests {
     fn removing_directory_disconnects_it() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let d = h.create_dir(root, "d", meta()).unwrap();
+        let d = h.create_dir(root, "d", meta(), 1).unwrap();
         assert!(h.is_connected(d));
         h.remove_entry(root, "d");
         assert!(!h.is_connected(d));
@@ -771,7 +734,7 @@ mod tests {
     fn read_write_truncate_round_trip() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let f = h.create_file(root, "f", meta()).unwrap();
+        let f = h.create_file(root, "f", meta(), 1).unwrap();
         assert_eq!(h.write_bytes(f, 0, b"hello world"), 11);
         assert_eq!(h.read_bytes(f, 0, 5), b"hello");
         assert_eq!(h.read_bytes(f, 6, 100), b"world");
@@ -790,7 +753,7 @@ mod tests {
     fn symlink_target_and_size() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let s = h.create_symlink(root, "s", "/some/where", meta()).unwrap();
+        let s = h.create_symlink(root, "s", "/some/where", meta(), 1).unwrap();
         assert_eq!(h.symlink_target(s), Some("/some/where"));
         assert_eq!(h.file_size(s), 11);
         assert_eq!(h.file_kind(s), Some(FileKind::Symlink));
@@ -802,8 +765,8 @@ mod tests {
     fn ancestor_detection() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let a = h.create_dir(root, "a", meta()).unwrap();
-        let b = h.create_dir(a, "b", meta()).unwrap();
+        let a = h.create_dir(root, "a", meta(), 1).unwrap();
+        let b = h.create_dir(a, "b", meta(), 2).unwrap();
         assert!(h.is_same_or_ancestor(root, b));
         assert!(h.is_same_or_ancestor(a, b));
         assert!(h.is_same_or_ancestor(b, b));
@@ -819,7 +782,7 @@ mod tests {
         }
         let mut h = DirHeap::empty();
         let root = h.root();
-        let d = h.create_dir(root, "d", meta()).unwrap();
+        let d = h.create_dir(root, "d", meta(), 1).unwrap();
         // Populate every cache, then check a structurally equal heap (fresh
         // caches) hashes identically.
         let before = heap_hash(&h);
@@ -835,7 +798,7 @@ mod tests {
         assert_ne!(before, after, "mutation must change the heap hash");
         assert_eq!(after, heap_hash(&h.clone()), "recomputed hash must be structural");
         // Same in-place path for files, through `file_mut`.
-        let f = h.create_file(d, "f", meta()).unwrap();
+        let f = h.create_file(d, "f", meta(), 2).unwrap();
         let with_file = heap_hash(&h);
         h.file_mut(f).unwrap().nlink += 1;
         assert_ne!(with_file, heap_hash(&h));
@@ -846,8 +809,8 @@ mod tests {
     fn attach_dir_for_rename() {
         let mut h = DirHeap::empty();
         let root = h.root();
-        let a = h.create_dir(root, "a", meta()).unwrap();
-        let b = h.create_dir(root, "b", meta()).unwrap();
+        let a = h.create_dir(root, "a", meta(), 1).unwrap();
+        let b = h.create_dir(root, "b", meta(), 2).unwrap();
         h.remove_entry(root, "a");
         assert!(h.attach_dir(b, "a2", a));
         assert_eq!(h.lookup(b, "a2"), Some(Entry::Dir(a)));

@@ -5,4 +5,4 @@ mod dir_heap;
 mod meta;
 
 pub use dir_heap::{DirHeap, DirRef, Entry, FileContent, FileRef};
-pub use meta::{Meta, Timestamps};
+pub use meta::Meta;

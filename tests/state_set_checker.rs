@@ -18,7 +18,7 @@
 use sibylfs_check::{check_trace, CheckOptions, StepKind, StepVerdict};
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue};
 use sibylfs_core::flags::FileMode;
-use sibylfs_core::flavor::{Flavor, SpecConfig};
+use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
 use sibylfs_core::os::trans::{allowed_returns, default_completion, expand_calls, os_trans};
 use sibylfs_core::os::{OsState, ProcRunState};
 use sibylfs_core::types::{Gid, Pid, Uid, INITIAL_PID};
@@ -235,49 +235,47 @@ fn state_set_checker_matches_reference_on_random_scripts() {
 /// mean over-merging: distinct interleavings conflated by a bad fingerprint),
 /// and once every return has resolved the nondeterminism the set must
 /// collapse back to exactly one state (failing to collapse would mean
-/// under-merging: structurally equal states kept as duplicates).
+/// under-merging: structurally equal states kept as duplicates). Both modes
+/// must collapse: the two mutations reach one equal state in either order.
 #[test]
 fn multi_process_state_sets_grow_and_collapse() {
-    let cfg = SpecConfig::standard(Flavor::Linux);
     let mut t = Trace::new("multiproc", "concurrency");
     t.push_label(OsLabel::Create(Pid(2), Uid(0), Gid(0)));
     t.push_label(OsLabel::Create(Pid(3), Uid(0), Gid(0)));
-    // Three calls in flight before any return. Only p1's call mutates the
-    // file system, so every interleaving converges to the same final state
-    // (two racing mutations would commit clock ticks in different orders and
-    // legitimately never converge).
+    // Three calls in flight before any return, two of them mutations.
     t.push_label(OsLabel::Call(INITIAL_PID, OsCommand::Mkdir("/a".into(), FileMode::new(0o777))));
-    t.push_label(OsLabel::Call(Pid(2), OsCommand::Stat("/missing".into())));
+    t.push_label(OsLabel::Call(Pid(2), OsCommand::Mkdir("/b".into(), FileMode::new(0o777))));
     t.push_label(OsLabel::Call(Pid(3), OsCommand::Stat("/a".into())));
     // Returns resolve in an order different from the calls.
-    t.push_label(OsLabel::Return(Pid(2), ErrorOrValue::Error(sibylfs_core::errno::Errno::ENOENT)));
+    t.push_label(OsLabel::Return(Pid(2), ErrorOrValue::Value(RetValue::None)));
     t.push_label(OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None)));
     // p3's stat raced with p1's mkdir of the same path: both outcomes are in
     // the tracked set until its return picks one (here: the stat was
     // processed before the mkdir took effect).
     t.push_label(OsLabel::Return(Pid(3), ErrorOrValue::Error(sibylfs_core::errno::Errno::ENOENT)));
 
-    let checked = check_trace(&cfg, &t, CheckOptions::default());
-    assert!(checked.accepted, "trace should conform: {:?}", checked.deviations);
+    for por in [PorMode::Footprint, PorMode::Off] {
+        let cfg = SpecConfig::standard(Flavor::Linux).with_por(por);
+        let checked = check_trace(&cfg, &t, CheckOptions::default());
+        assert!(checked.accepted, "{cfg}: trace should conform: {:?}", checked.deviations);
+        let sizes: Vec<usize> = checked.steps.iter().map(|s| s.states_tracked).collect();
 
-    // The set grew past one while returns were being matched against states
-    // with calls still in flight.
-    assert!(
-        checked.max_states_tracked > 1,
-        "expected residual nondeterminism, got max_states_tracked = {}",
-        checked.max_states_tracked
-    );
-    let grew = checked.steps.iter().any(|s| s.states_tracked > 1);
-    assert!(grew, "no step tracked more than one state: {:?}",
-        checked.steps.iter().map(|s| s.states_tracked).collect::<Vec<_>>());
+        // The set grew past one while returns were being matched against
+        // states with calls still in flight.
+        assert!(
+            checked.max_states_tracked > 1,
+            "{cfg}: expected residual nondeterminism, got max_states_tracked = {}",
+            checked.max_states_tracked
+        );
+        assert!(sizes.iter().any(|&n| n > 1), "{cfg}: no step tracked more than one state");
 
-    // After the final return every branch has converged: exactly one state.
-    let last = checked.steps.last().unwrap();
-    assert_eq!(last.kind, StepKind::Return);
-    assert!(matches!(last.verdict, StepVerdict::Ok));
-    assert_eq!(
-        last.states_tracked, 1,
-        "state set failed to collapse after all returns resolved: {:?}",
-        checked.steps.iter().map(|s| s.states_tracked).collect::<Vec<_>>()
-    );
+        // After the final return every branch has converged: exactly one state.
+        let last = checked.steps.last().unwrap();
+        assert_eq!(last.kind, StepKind::Return);
+        assert!(matches!(last.verdict, StepVerdict::Ok));
+        assert_eq!(
+            last.states_tracked, 1,
+            "{cfg}: state set failed to collapse after all returns resolved: {sizes:?}"
+        );
+    }
 }
