@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sibylfs_core::commands::{OsCommand, OsLabel};
 use sibylfs_core::flags::FileMode;
-use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
+use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_core::fs_ops::dispatch;
 use sibylfs_core::os::state_set::StateSet;
 use sibylfs_core::os::trans::{expand_calls, os_trans, tau_closure};
@@ -75,25 +75,14 @@ fn checker_internals(c: &mut Criterion) {
     };
     let st3 = in_flight(3);
     let st6 = in_flight(6);
-    let cfg_no_por = cfg.with_por(PorMode::Off);
 
     c.bench_function("tau_closure_three_processes", |b| {
         b.iter(|| tau_closure(&cfg, std::slice::from_ref(&st3)).len())
     });
 
-    // The same closure with reduction disabled: it tracks the same states
-    // but dispatches every interleaving, so the gap is what POR saves.
-    c.bench_function("tau_closure_three_processes_no_por", |b| {
-        b.iter(|| tau_closure(&cfg_no_por, std::slice::from_ref(&st3)).len())
-    });
-
-    // Six commuting calls in flight: 2^6 subset states in both modes.
+    // Six commuting calls in flight: 2^6 subset states.
     c.bench_function("tau_closure_six_processes", |b| {
         b.iter(|| tau_closure(&cfg, std::slice::from_ref(&st6)).len())
-    });
-
-    c.bench_function("tau_closure_six_processes_no_por", |b| {
-        b.iter(|| tau_closure(&cfg_no_por, std::slice::from_ref(&st6)).len())
     });
 
     // The cost of branching: with copy-on-write state sharing a clone is a

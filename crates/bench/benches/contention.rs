@@ -3,21 +3,20 @@
 //!
 //! Each family from `sibylfs_testgen::contention` is checked end to end —
 //! the full Call/Tau/Return label stream through the checker — at six and at
-//! four processes, with POR on (`por`) and off (`no_por`) side by side.
-//! Interleaving orders of commuting calls reach equal states, so both modes
-//! track the same few states and decide every family; what separates the
-//! rows is the dispatches the sleep sets skip.
+//! four processes. Interleaving orders of commuting calls reach equal
+//! states, so the checker tracks few states and decides every family; the
+//! sleep sets save the dispatches of the orders a sibling already covered.
 //!
 //! Every family reduces, `rename_storm` included: each process renames its
 //! own file, and `rename`'s footprint names the two entries it rewrites. The
-//! `por` rows are gated in CI's perf trend, so a footprint change that stops
-//! a family reducing shows up as a regression; the `no_por` rows are
-//! recorded ungated.
+//! rows (`check_contention/<family>/por`, ids kept from when an unreduced
+//! mode ran beside them) are gated in CI's perf trend, so a footprint change
+//! that stops a family reducing shows up as a regression.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sibylfs_check::{check_trace, CheckOptions};
-use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
+use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 
 /// Bench id like `drbh_p6` from a trace named `contention___drbh_p6_n2`.
@@ -28,25 +27,22 @@ fn family_of(name: &str) -> String {
 
 fn contention(c: &mut Criterion) {
     let cfg = SpecConfig::standard(Flavor::Linux);
-    let cfg_no_por = cfg.with_por(PorMode::Off);
 
     let mut group = c.benchmark_group("check_contention");
     group.sample_size(10);
     for opts in [ContentionOptions::new(6, 2), ContentionOptions::new(4, 2)] {
         for trace in &contention_traces(opts) {
-            for (mode, cfg) in [("por", &cfg), ("no_por", &cfg_no_por)] {
-                group.bench_with_input(
-                    BenchmarkId::new(family_of(&trace.name), mode),
-                    trace,
-                    |b, trace| {
-                        b.iter(|| {
-                            let checked = check_trace(cfg, trace, CheckOptions::default());
-                            assert!(checked.accepted, "{} must check clean ({mode})", trace.name);
-                            checked.max_states_tracked
-                        })
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(family_of(&trace.name), "por"),
+                trace,
+                |b, trace| {
+                    b.iter(|| {
+                        let checked = check_trace(&cfg, trace, CheckOptions::default());
+                        assert!(checked.accepted, "{} must check clean", trace.name);
+                        checked.max_states_tracked
+                    })
+                },
+            );
         }
     }
     group.finish();

@@ -13,21 +13,19 @@
 //! state a fresh check of the new trace reaches there.
 //!
 //! A snapshot, taken after each label, holds that loop state: the tracked
-//! `StateSet`, the per-state POR sleep sets, the largest set size so far,
-//! and each process's last call (for deviation diagnostics). It also holds
-//! the label with its line number, which is what the next trace is matched
-//! against, and how many `CheckedStep`s and `Deviation`s the trace had
-//! recorded by then, so the prefix's verdicts are reused without rerunning.
+//! set (a core `TrackedSet`: the states plus the partial-order reduction's
+//! bookkeeping), the largest set size so far, and each process's last call
+//! (for deviation diagnostics). It also holds the label with its line
+//! number, which is what the next trace is matched against, and how many
+//! `CheckedStep`s and `Deviation`s the trace had recorded by then, so the
+//! prefix's verdicts are reused without rerunning.
 
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel};
 use sibylfs_core::coverage::{self, CoverageKey, CoverageMap};
 use sibylfs_core::flavor::SpecConfig;
-use sibylfs_core::footprint::return_effect_of;
 use sibylfs_core::obs;
 use sibylfs_core::os::state_set::StateSet;
-use sibylfs_core::os::trans::{
-    allowed_returns, default_completion, os_trans_into, tau_close_with_sleeps, SleepSet,
-};
+use sibylfs_core::os::trans::{allowed_returns, default_completion, TrackedSet};
 use sibylfs_core::os::{OsState, ProcRunState};
 use sibylfs_core::types::{Pid, INITIAL_PID};
 use sibylfs_script::Trace;
@@ -187,11 +185,8 @@ impl CheckedTrace {
 /// remaining labels depend on, apart from the labels themselves.
 #[derive(Debug, Clone)]
 struct LoopState {
-    states: StateSet,
-    /// Per-state sleep sets, parallel to `states` (see `trans::SleepSet`).
-    /// All-empty unless POR is active; empty sleep sets make every POR branch
-    /// below a no-op, so Off mode follows the exact pre-POR code path.
-    sleeps: Vec<SleepSet>,
+    /// The states the real system might be in.
+    tracked: TrackedSet,
     /// The largest state set tracked so far.
     max_states: usize,
     /// The last call made by each process, for diagnostics.
@@ -200,14 +195,14 @@ struct LoopState {
 
 impl LoopState {
     fn initial(cfg: &SpecConfig) -> LoopState {
-        let states = StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID));
-        LoopState {
-            max_states: states.len(),
-            states,
-            sleeps: vec![SleepSet::new()],
-            last_call: Vec::new(),
-        }
+        let tracked = initial_set(cfg);
+        LoopState { max_states: tracked.len(), tracked, last_call: Vec::new() }
     }
+}
+
+/// The initial state alone.
+fn initial_set(cfg: &SpecConfig) -> TrackedSet {
+    TrackedSet::from(StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID)))
 }
 
 /// One label of the last trace a [`Checker`] checked, and the loop state
@@ -292,9 +287,7 @@ impl Checker {
                 st.last_call.push((pid, cmd));
             }
 
-            let states = std::mem::take(&mut st.states);
-            let sleeps = std::mem::take(&mut st.sleeps);
-            let (next, next_sleeps, verdict) = apply_label(cfg, states, sleeps, label);
+            let (next, verdict) = apply_label(cfg, std::mem::take(&mut st.tracked), label);
             match &verdict {
                 StepVerdict::Ok => {}
                 // Only the bound-handling block below constructs this variant.
@@ -316,29 +309,22 @@ impl Checker {
                     });
                 }
             }
-            st.states = next;
-            st.sleeps = next_sleeps;
-            dedup_hits += st.states.take_dedup_hits();
-            st.max_states = st.max_states.max(st.states.len());
+            st.tracked = next;
+            dedup_hits += st.tracked.take_dedup_hits();
+            st.max_states = st.max_states.max(st.tracked.len());
             steps.push(CheckedStep {
                 lineno: step.lineno,
                 label: StepLabel::Observed(label.clone()),
                 kind: StepKind::of_label(label),
                 verdict,
-                states_tracked: st.states.len(),
+                states_tracked: st.tracked.len(),
             });
-            if st.states.len() > opts.max_states {
+            if st.tracked.len() > opts.max_states {
                 // The remainder of the check is lossy: record it loudly so the
                 // trace is never reported clean.
-                let tracked = st.states.len();
+                let tracked = st.tracked.len();
                 obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
-                st.states.truncate(opts.max_states);
-                st.sleeps.truncate(opts.max_states);
-                // Truncation may have dropped the sibling states that justified a
-                // survivor's sleep entries; wake everything to stay sound.
-                for s in &mut st.sleeps {
-                    s.clear();
-                }
+                st.tracked.truncate(opts.max_states);
                 deviations.push(Deviation {
                     lineno: step.lineno,
                     function: "<checker>".to_string(),
@@ -354,14 +340,13 @@ impl Checker {
                     label: StepLabel::Synthetic("<state-set safety bound exceeded; set truncated>"),
                     kind: StepKind::Internal,
                     verdict: StepVerdict::StateSetBounded { tracked, bound: opts.max_states },
-                    states_tracked: st.states.len(),
+                    states_tracked: st.tracked.len(),
                 });
             }
-            if st.states.is_empty() {
+            if st.tracked.is_empty() {
                 // Unrecoverable (should not happen: recovery always yields at
                 // least one state); restart from a fresh state to keep going.
-                st.states = StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID));
-                st.sleeps = vec![SleepSet::new()];
+                st.tracked = initial_set(cfg);
             }
             if keep {
                 self.snapshots.push(Snapshot {
@@ -445,24 +430,18 @@ pub fn check_trace_with_coverage(
     (checked, map)
 }
 
-/// Apply one label to the tracked state set, producing the next set, its
-/// per-state sleep sets, and the verdict for this step. Takes the set by
-/// value: conformant paths hand back the transition union, deviation paths
-/// hand back a recovered set (or the input set unchanged).
+/// Apply one label to the tracked set, producing the next set and the
+/// verdict for this step. Takes the set by value: conformant paths hand back
+/// the transition union, deviation paths hand back a recovered set (or the
+/// input set unchanged).
 fn apply_label(
     cfg: &SpecConfig,
-    mut states: StateSet,
-    mut sleeps: Vec<SleepSet>,
+    mut tracked: TrackedSet,
     label: &OsLabel,
-) -> (StateSet, Vec<SleepSet>, StepVerdict) {
-    sleeps.resize(states.len(), SleepSet::new());
+) -> (TrackedSet, StepVerdict) {
     match label {
         OsLabel::Call(..) | OsLabel::Create(..) | OsLabel::Destroy(..) => {
-            // These labels never touch the filesystem or a sleeping process
-            // (a sleeping process is mid-call, so `Call`/`Destroy` on it are
-            // rejected by the transition function), so successors inherit
-            // their source state's sleep set unchanged.
-            let (next, next_sleeps) = union_trans(cfg, &states, &sleeps, label);
+            let next = tracked.after(cfg, label);
             if next.is_empty() {
                 // e.g. a call from an unknown process, or a call while one is
                 // already in flight: recover by ignoring the label.
@@ -471,27 +450,28 @@ fn apply_label(
                     allowed: vec!["<no such transition from any tracked state>".to_string()],
                     continued_with: None,
                 };
-                (states, sleeps, verdict)
+                (tracked, verdict)
             } else {
-                (next, next_sleeps, StepVerdict::Ok)
+                (next, StepVerdict::Ok)
             }
         }
         OsLabel::Tau => {
-            tau_close_with_sleeps(cfg, &mut states, &mut sleeps);
-            (states, sleeps, StepVerdict::Ok)
+            tracked.close(cfg);
+            (tracked, StepVerdict::Ok)
         }
         OsLabel::Return(pid, observed) => {
             // Close under internal steps so calls from other processes may be
             // processed in any order before this return is matched.
-            tau_close_with_sleeps(cfg, &mut states, &mut sleeps);
-            let (next, next_sleeps) = union_trans(cfg, &states, &sleeps, label);
+            tracked.close(cfg);
+            let next = tracked.after(cfg, label);
             if !next.is_empty() {
-                return (next, next_sleeps, StepVerdict::Ok);
+                return (next, StepVerdict::Ok);
             }
             // Non-conformant: collect the allowed returns for diagnostics and
             // continue from the model's own completions (Fig. 4).
+            let states = tracked.states();
             let mut allowed: Vec<String> = Vec::new();
-            for st in &states {
+            for st in states {
                 for a in allowed_returns(st, *pid) {
                     if !allowed.contains(&a) {
                         allowed.push(a);
@@ -500,7 +480,7 @@ fn apply_label(
             }
             let mut recovered = StateSet::new();
             let mut continued_with = None;
-            for st in &states {
+            for st in states {
                 if let Some((value, next_st)) = default_completion(st, *pid) {
                     if continued_with.is_none() {
                         continued_with = Some(value.to_string());
@@ -511,7 +491,7 @@ fn apply_label(
             if recovered.is_empty() {
                 // Last resort: mark the process ready again in every state so
                 // subsequent steps can still be checked.
-                for st in &states {
+                for st in states {
                     let mut st = st.clone();
                     if let Some(p) = st.proc_mut(*pid) {
                         p.run_state = ProcRunState::Ready;
@@ -524,69 +504,13 @@ fn apply_label(
                 allowed,
                 continued_with,
             };
-            // Recovery synthesises states the POR bookkeeping knows nothing
-            // about; wake everything rather than carry stale sleep entries.
-            let recovered_sleeps = vec![SleepSet::new(); recovered.len()];
-            (recovered, recovered_sleeps, verdict)
+            (TrackedSet::from(recovered), verdict)
         }
     }
 }
 
 fn render_observed(v: &ErrorOrValue) -> String {
     v.to_string()
-}
-
-/// The union of `os_trans` over every tracked state, with sleep inheritance.
-/// Each fresh successor gets a copy of its source state's sleep set; a
-/// successor reached from several sources may only sleep what every source
-/// lets it sleep, so duplicates intersect (by pid). The per-state scratch set
-/// preserves the same overall insertion order as a shared sink, so Off-mode
-/// results are identical to the pre-POR checker.
-///
-/// A return can have effects the τ step did not (a `write` applies its data
-/// at return time), so on a return label the inherited sleep entries are
-/// woken unless they commute with the return's effect footprint.
-fn union_trans(
-    cfg: &SpecConfig,
-    states: &StateSet,
-    sleeps: &[SleepSet],
-    label: &OsLabel,
-) -> (StateSet, Vec<SleepSet>) {
-    static EMPTY: SleepSet = SleepSet::new();
-    let returning = match label {
-        OsLabel::Return(pid, _) => Some(*pid),
-        _ => None,
-    };
-    let mut out = StateSet::new();
-    let mut out_sleeps: Vec<SleepSet> = Vec::new();
-    for (i, st) in states.iter().enumerate() {
-        let src = sleeps.get(i).unwrap_or(&EMPTY);
-        let mut tmp = StateSet::new();
-        os_trans_into(cfg, st, label, &mut tmp);
-        if tmp.is_empty() {
-            continue;
-        }
-        let effect = returning.filter(|_| !src.is_empty()).and_then(|pid| return_effect_of(st, pid));
-        let kept: SleepSet;
-        let sleep = match effect {
-            Some(eff) => {
-                kept = src.iter().filter(|(_, qfp)| eff.commutes(qfp)).cloned().collect();
-                &kept
-            }
-            None => src,
-        };
-        // Successors are consumed by value: cloning would reset their cached
-        // fingerprints and make `insert_full` recompute them.
-        for succ in tmp {
-            let (j, fresh) = out.insert_full(succ);
-            if fresh {
-                out_sleeps.push(sleep.clone());
-            } else {
-                out_sleeps[j].retain(|(q, _)| sleep.iter().any(|(q2, _)| q2 == q));
-            }
-        }
-    }
-    (out, out_sleeps)
 }
 
 #[cfg(test)]
@@ -597,7 +521,6 @@ mod tests {
     use sibylfs_core::flags::{FileMode, OpenFlags};
     use sibylfs_core::flavor::Flavor;
     use sibylfs_core::types::Fd;
-    use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 
     fn cfg() -> SpecConfig {
         SpecConfig::standard(Flavor::Linux)
@@ -717,45 +640,14 @@ mod tests {
         // τ processes the call once, in the closure before the return; the
         // return then matches the processed states and derives nothing twice.
         let cfg = cfg();
-        let states = StateSet::singleton(OsState::initial_with_process(&cfg, INITIAL_PID));
         let call = OsLabel::Call(INITIAL_PID, OsCommand::Mkdir("/d".into(), FileMode::new(0o777)));
-        let (states, sleeps, verdict) = apply_label(&cfg, states, vec![SleepSet::new()], &call);
+        let (tracked, verdict) = apply_label(&cfg, initial_set(&cfg), &call);
         assert_eq!(verdict, StepVerdict::Ok);
         let ret = OsLabel::Return(INITIAL_PID, ErrorOrValue::Value(RetValue::None));
-        let (mut next, _, verdict) = apply_label(&cfg, states, sleeps, &ret);
+        let (mut next, verdict) = apply_label(&cfg, tracked, &ret);
         assert_eq!(verdict, StepVerdict::Ok);
         assert_eq!(next.len(), 1);
         assert_eq!(next.take_dedup_hits(), 0);
-    }
-
-    #[test]
-    fn a_sleeping_pid_is_always_in_a_call() {
-        // Only τ processes a call, and a return from a process still in its
-        // call matches nothing, so a return never needs to skip a sleeper.
-        let cfg = cfg();
-        let mut sleepers = 0usize;
-        for opts in [ContentionOptions::new(3, 2), ContentionOptions::new(4, 2)] {
-            for trace in contention_traces(opts) {
-                let mut checker = Checker::new(&cfg, CheckOptions::default());
-                assert!(checker.check(&trace).accepted, "{}", trace.name);
-                for snap in &checker.snapshots {
-                    let LoopState { states, sleeps, .. } = &snap.after;
-                    for (st, sleep) in states.iter().zip(sleeps) {
-                        for (pid, _) in sleep {
-                            let run_state = st.proc(*pid).map(|p| &p.run_state);
-                            assert!(
-                                matches!(run_state, Some(ProcRunState::InCall(_))),
-                                "{} line {}: pid {pid} sleeps in {run_state:?}",
-                                trace.name,
-                                snap.lineno
-                            );
-                            sleepers += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert!(sleepers > 0, "no pid ever slept");
     }
 
     #[test]

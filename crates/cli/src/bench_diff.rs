@@ -193,9 +193,10 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
 }
 
 /// Whether a bench participates in the regression gate. Of the contention
-/// checks only the reduced (`…/por`) rows are gated: a family that stops
-/// reducing dispatches as many calls as full expansion and slows down
-/// there, while the `no_por` rows only record the unreduced contrast.
+/// checks only the `…/por` rows are gated: a family that stops reducing
+/// dispatches as many calls as full expansion and slows down there. Rows
+/// with any other suffix (older records also hold unreduced rows) are
+/// informational.
 pub fn is_gated(name: &str) -> bool {
     name.starts_with("check_throughput")
         || name.starts_with("tau_closure_")
@@ -390,7 +391,7 @@ mod tests {
     fn reduced_contention_rows_are_gated_unreduced_are_not() {
         assert!(is_gated("check_contention/rename_storm_p6/por"));
         assert!(is_gated("check_contention/drbh_p4/por"));
-        assert!(!is_gated("check_contention/drbh_p4/no_por"));
+        assert!(!is_gated("check_contention/drbh_p4/unreduced"));
     }
 
     #[test]

@@ -23,7 +23,7 @@ USAGE:
     sibylfs gen   [--full|--quick] [--out DIR]       generate the test suite
     sibylfs run   --config NAME [--full] [--out DIR] execute the suite on a configuration
                   [--exec-workers N]                 and check every trace
-    sibylfs check --flavor FLAVOR [--por MODE] FILE. check recorded traces against the model
+    sibylfs check --flavor FLAVOR FILE...            check recorded traces against the model
     sibylfs check --remote ADDR FILE...              check traces on a remote oracle server
     sibylfs exec  --config NAME [--exec-workers N] SCRIPT...
                                                      execute script files and print traces
@@ -34,6 +34,9 @@ USAGE:
     sibylfs audit [--baseline FILE]                  spec-consistency audit of the model source
     sibylfs bench-diff OLD NEW [--max-regression N]  gate on bench-result regressions
     sibylfs configs                                  list registered configurations
+
+Each subcommand takes only the flags listed for it here; any other --flag
+is an error (exit 2).
 
 OBSERVABILITY (check, exec, explore, serve):
     --trace-out FILE         record spans and write a Chrome trace-event JSON
@@ -79,11 +82,33 @@ BENCH-DIFF:
     tau_closure_*) is slower in NEW by more than N percent (default 10).
 
 FLAVOR is one of: posix, linux, mac, freebsd.
-MODE is `footprint` (default: commutativity-aware partial-order reduction in
-the checker's τ-closure) or `off` (full interleaving expansion).
 NAME is a simulated configuration (see `sibylfs configs`) or `host/linux`
 for the real host kernel (Linux with chroot privilege only).
 ";
+
+/// The flags each subcommand takes: those followed by a value, then
+/// switches. Any other `--flag` is an error (see [`positional`]).
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("gen", &["--out"], &["--full", "--quick"]),
+    ("run", &["--config", "--out", "--exec-workers"], &["--full", "--quick", "--timings"]),
+    ("check", &["--flavor", "--remote", "--trace-out"], &["--timings"]),
+    ("exec", &["--config", "--exec-workers", "--trace-out"], &["--timings"]),
+    ("serve", SERVE_FLAGS, &[]),
+    ("survey", &["--flavor"], &["--full", "--quick"]),
+    ("explore", EXPLORE_FLAGS, &["--require-gain"]),
+    ("lint", &[], &[]),
+    ("audit", &["--baseline"], &["--dump-envelopes"]),
+    ("bench-diff", &["--max-regression"], &[]),
+    ("configs", &[], &[]),
+];
+const SERVE_FLAGS: &[&str] = &[
+    "--addr", "--workers", "--max-name-len", "--intern-budget", "--metrics-addr", "--stats-every",
+    "--trace-out",
+];
+const EXPLORE_FLAGS: &[&str] = &[
+    "--config", "--flavor", "--backend", "--iterations", "--time-budget", "--seed", "--workers",
+    "--corpus-dir", "--min-coverage", "--trace-out",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,6 +116,9 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
+    if FLAGS.iter().any(|(c, ..)| c == cmd) {
+        positional(cmd, &args[1..]);
+    }
     match cmd.as_str() {
         "gen" => cmd_gen(&args[1..]),
         "run" => cmd_run(&args[1..]),
@@ -149,17 +177,22 @@ fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     })
 }
 
-/// The positional arguments: every token that is neither a `--flag` nor the
-/// value following one of `value_flags`. A file may share its name with a
-/// flag's value.
-fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+/// The positional arguments of subcommand `cmd`: every token that is
+/// neither one of its [`FLAGS`] nor the value following one, so a file may
+/// share its name with a flag's value. Any other `--flag` is an error that
+/// names it.
+fn positional<'a>(cmd: &str, args: &'a [String]) -> Vec<&'a String> {
+    let (_, values, switches) = FLAGS.iter().find(|(c, ..)| *c == cmd).expect("a subcommand");
     let mut files = Vec::new();
     let mut tokens = args.iter();
     while let Some(a) = tokens.next() {
-        if value_flags.contains(&a.as_str()) {
+        if values.contains(&a.as_str()) {
             tokens.next();
         } else if !a.starts_with("--") {
             files.push(a);
+        } else if !switches.contains(&a.as_str()) {
+            eprintln!("unknown flag {a} for `sibylfs {cmd}` (see `sibylfs --help`)");
+            std::process::exit(2);
         }
     }
     files
@@ -172,16 +205,6 @@ fn flavor_from(args: &[String]) -> Flavor {
             std::process::exit(2);
         }),
         None => Flavor::Posix,
-    }
-}
-
-fn por_from(args: &[String]) -> sibylfs_core::flavor::PorMode {
-    match opt_value(args, "--por") {
-        Some(p) => p.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => sibylfs_core::flavor::PorMode::Footprint,
     }
 }
 
@@ -306,11 +329,10 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_check(args: &[String]) {
-    let flavor = flavor_from(args);
-    let cfg = sibylfs_core::flavor::SpecConfig::standard(flavor).with_por(por_from(args));
+    let cfg = sibylfs_core::flavor::SpecConfig::standard(flavor_from(args));
     let remote = opt_value(args, "--remote");
     let trace_out = trace_out_from(args);
-    let files = positional(args, &["--flavor", "--por", "--remote", "--trace-out"]);
+    let files = positional("check", args);
     if files.is_empty() {
         eprintln!("no trace files given");
         std::process::exit(2);
@@ -448,7 +470,7 @@ fn cmd_exec(args: &[String]) {
         unreachable!("config_or_exit exits for unknown names");
     };
     let trace_out = trace_out_from(args);
-    let files = positional(args, &["--config", "--trace-out", "--exec-workers"]);
+    let files = positional("exec", args);
     let scripts: Vec<sibylfs_script::Script> = files
         .iter()
         .map(|file| {
@@ -553,7 +575,7 @@ fn cmd_lint(args: &[String]) {
     use sibylfs_analyze::lint;
     use sibylfs_script::parse_script_spanned;
 
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let files = positional("lint", args);
     if files.is_empty() {
         eprintln!("no script files given");
         std::process::exit(2);
@@ -615,7 +637,7 @@ fn cmd_bench_diff(args: &[String]) {
     use sibylfs_cli::bench_diff::{diff_benches, parse_bench_json, render_diff};
 
     let max_regression = num::<f64>(args, "--max-regression").unwrap_or(10.0);
-    let files = positional(args, &["--max-regression"]);
+    let files = positional("bench-diff", args);
     let [old_file, new_file] = files.as_slice() else {
         eprintln!("bench-diff needs exactly two files: OLD NEW (got {})", files.len());
         std::process::exit(2);

@@ -1,8 +1,8 @@
 //! Integration smoke test that shells out to the built `sibylfs` binary and
 //! asserts exit codes and key output for `gen`/`exec`/`check`/`configs` —
-//! including the error paths (unknown subcommand, missing `--config`,
-//! unparseable trace files, flag values that are themselves flags) that were
-//! previously untested.
+//! including the error paths (unknown subcommand, unknown flags, missing
+//! `--config`, unparseable trace files, flag values that are themselves
+//! flags) that were previously untested.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -277,6 +277,29 @@ fn check_rejects_unknown_flavor() {
     let out = run(&["check", "--flavor", "plan9", "whatever.trace"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("flavor") || stderr(&out).contains("plan9"));
+}
+
+/// A flag a subcommand does not take is an error that names it, not
+/// something to skip: a mistyped `--full` must not quietly check the quick
+/// suite, a mistyped `--exec-workers` must not quietly run the default
+/// worker count, and an unknown flag's value must not be read as a file.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (vec!["run", "--config", "linux/tmpfs", "--ful"], "--ful"),
+        (vec!["run", "--config", "linux/tmpfs", "--exec-worker", "1"], "--exec-worker"),
+        (vec!["check", "--mode", "off", "t.trace"], "--mode"),
+        (vec!["check", "--flavor", "linux", "--full", "t.trace"], "--full"),
+        (vec!["gen", "--quick", "--timings"], "--timings"),
+        (vec!["lint", "--strict", "s.script"], "--strict"),
+        (vec!["configs", "--all"], "--all"),
+    ] {
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "{args:?}: {err}");
+        assert!(err.contains(&format!("unknown flag {flag} ")), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} did some work: {}", stdout(&out));
+    }
 }
 
 #[test]

@@ -192,36 +192,6 @@ impl FromStr for Flavor {
     }
 }
 
-/// Whether the checker's τ-closure applies footprint-based partial-order
-/// reduction (see `crates/core/DESIGN_POR.md`).
-///
-/// Under `Footprint` (the default), the closure dispatches one representative
-/// interleaving per commutativity class of in-flight calls, using sleep sets
-/// keyed off per-call [`crate::footprint::Footprint`]s. Interleaving orders
-/// reach equal states, so both modes track the same state sets and reach the
-/// same verdicts; POR only saves the dispatches of the orders it skips.
-/// `Off` dispatches every interleaving, exactly as the paper's checker
-/// does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PorMode {
-    /// Enumerate every interleaving of in-flight calls.
-    Off,
-    /// Skip interleavings whose next-step pairs provably commute.
-    Footprint,
-}
-
-impl FromStr for PorMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "none" => Ok(PorMode::Off),
-            "on" | "footprint" => Ok(PorMode::Footprint),
-            other => Err(format!("unknown POR mode: {other} (expected on|off)")),
-        }
-    }
-}
-
 /// Complete configuration of the specification used for checking.
 ///
 /// Combines a [`Flavor`] with the optional permissions trait of §4 and the
@@ -237,10 +207,6 @@ pub struct SpecConfig {
     pub permissions: bool,
     /// Whether the initial process runs with root privileges.
     pub root_user: bool,
-    /// Whether the τ-closure applies partial-order reduction. Purely a
-    /// checker-performance knob: verdicts are identical in both modes (the
-    /// POR equivalence suite enforces this).
-    pub por: PorMode,
 }
 
 impl SpecConfig {
@@ -251,7 +217,6 @@ impl SpecConfig {
             flavor,
             permissions: true,
             root_user: true,
-            por: PorMode::Footprint,
         }
     }
 
@@ -265,11 +230,6 @@ impl SpecConfig {
     /// the permission-focused test groups.
     pub fn unprivileged(flavor: Flavor) -> SpecConfig {
         SpecConfig { root_user: false, ..SpecConfig::standard(flavor) }
-    }
-
-    /// This configuration with the given POR mode.
-    pub fn with_por(self, por: PorMode) -> SpecConfig {
-        SpecConfig { por, ..self }
     }
 }
 
@@ -287,16 +247,12 @@ impl fmt::Display for SpecConfig {
             self.flavor,
             if self.permissions { "" } else { ",no-perms" },
             if self.root_user { "" } else { ",non-root" },
-        )?;
-        if self.por == PorMode::Off {
-            write!(f, ",no-por")?;
-        }
-        Ok(())
+        )
     }
 }
 
 /// Parse a [`SpecConfig`] from its `Display` syntax: a flavour name followed
-/// by comma-separated modifiers (`no-perms`, `non-root`, `no-por`).
+/// by comma-separated modifiers (`no-perms`, `non-root`).
 pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
     let mut parts = s.split(',');
     let flavor_str = parts.next().unwrap_or("").trim();
@@ -306,7 +262,6 @@ pub fn parse_spec_config(s: &str) -> Result<SpecConfig, String> {
         match part.trim() {
             "no-perms" => cfg.permissions = false,
             "non-root" => cfg.root_user = false,
-            "no-por" => cfg.por = PorMode::Off,
             other => return Err(format!("unknown config modifier: {other:?}")),
         }
     }
@@ -362,7 +317,6 @@ mod tests {
     fn spec_config_display_round_trip() {
         for cfg in [
             SpecConfig::standard(Flavor::Linux),
-            SpecConfig::standard(Flavor::Posix).with_por(PorMode::Off),
             SpecConfig::unprivileged(Flavor::Mac),
             SpecConfig::without_permissions(Flavor::FreeBsd),
         ] {
@@ -372,5 +326,6 @@ mod tests {
         assert!(parse_spec_config("plan9").is_err());
         assert!(parse_spec_config("linux,frobnicate").is_err());
         assert!(parse_spec_config("linux,timestamps").is_err());
+        assert!(parse_spec_config("linux,no-por").is_err());
     }
 }

@@ -19,8 +19,8 @@
 //! - **fd I/O is τ-pure.** `read`/`write`/`pread`/`pwrite` capture their
 //!   pending payload at τ-time but apply their effects (offset advance,
 //!   `apply_write`) when the *return* label is matched. Their τ footprints
-//!   are therefore read-only; the checker separately filters sleep sets by
-//!   [`return_effect_of`] when a return that writes is matched.
+//!   are therefore read-only; `TrackedSet::after` separately filters sleep
+//!   sets by [`return_effect_of`] when a return that writes is matched.
 //! - **Per-process resources are elided.** fd tables, dir-handle tables,
 //!   cwd, and umask belong to a single process, and commutativity is only
 //!   ever evaluated across *different* pids, so touching them never

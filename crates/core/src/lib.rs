@@ -76,13 +76,13 @@ pub mod prelude {
     pub use crate::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue, Stat};
     pub use crate::errno::Errno;
     pub use crate::flags::{AccessMode, FileMode, OpenFlags, SeekWhence};
-    pub use crate::flavor::{Flavor, PorMode, SpecConfig};
+    pub use crate::flavor::{Flavor, SpecConfig};
     pub use crate::footprint::{footprint_of, Footprint};
     pub use crate::fs_ops::{dispatch, CmdOutcome};
     pub use crate::intern::Name;
     pub use crate::os::state_set::StateSet;
     pub use crate::path::ParsedPath;
-    pub use crate::os::trans::{os_trans, os_trans_into, tau_close, tau_closure};
+    pub use crate::os::trans::{os_trans, tau_closure};
     pub use crate::os::{OsState, Pending, ProcRunState};
     pub use crate::perms::{Access, Creds};
     pub use crate::state::{DirHeap, DirRef, Entry, FileRef};

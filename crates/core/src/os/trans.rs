@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use crate::commands::{ErrorOrValue, OsLabel, RetValue};
 use crate::coverage::spec_point;
-use crate::footprint::{footprint_of, Footprint};
+use crate::footprint::{footprint_of, return_effect_of, Footprint};
 use crate::intern::Name;
-use crate::flavor::{PorMode, SpecConfig};
+use crate::flavor::SpecConfig;
 use crate::fs_ops;
 use crate::obs;
 use crate::os::state_set::StateSet;
@@ -36,18 +36,10 @@ use crate::types::{DirHandleId, Fd, Pid};
 /// it.
 pub type SleepSet = Vec<(Pid, Arc<Footprint>)>;
 
-/// Whether footprint-based POR is active under this configuration.
-pub fn por_active(cfg: &SpecConfig) -> bool {
-    cfg.por == PorMode::Footprint
-}
-
-/// Apply one label to one state, emitting every allowed next state into `out`.
+/// Apply one label to one state, handing every allowed next state to `sink`.
 ///
-/// Emitting nothing means the label is not allowed from this state. The sink
-/// is a deduplicating [`StateSet`], so callers can union the transitions of a
-/// whole state set by reusing one sink across calls — the checker's inner
-/// loop — without materialising intermediate `Vec<OsState>`s.
-pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut StateSet) {
+/// Emitting nothing means the label is not allowed from this state.
+fn os_trans_sink(cfg: &SpecConfig, st: &OsState, label: &OsLabel, sink: &mut impl FnMut(OsState)) {
     match label {
         OsLabel::Create(pid, uid, gid) => {
             if st.procs.contains_key(pid) {
@@ -57,7 +49,7 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             spec_point("os/create_process");
             let mut new_st = st.clone();
             new_st.add_process(*pid, *uid, *gid);
-            out.insert(new_st);
+            sink(new_st);
         }
         OsLabel::Destroy(pid) => {
             let Some(proc) = st.procs.get(pid) else {
@@ -76,7 +68,7 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
                     new_st.fids.remove(fid);
                 }
             }
-            out.insert(new_st);
+            sink(new_st);
         }
         OsLabel::Call(pid, cmd) => {
             let Some(proc) = st.procs.get(pid) else {
@@ -93,9 +85,9 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             if let Some(p) = new_st.proc_mut(*pid) {
                 p.run_state = ProcRunState::InCall(cmd.clone());
             }
-            out.insert(new_st);
+            sink(new_st);
         }
-        OsLabel::Tau => expand_calls_into(cfg, st, out),
+        OsLabel::Tau => expand_calls_sink(cfg, st, sink),
         OsLabel::Return(pid, value) => {
             let Some(proc) = st.procs.get(pid) else {
                 return;
@@ -103,7 +95,7 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             match &proc.run_state {
                 ProcRunState::Pending(pending) => {
                     if let Some(next) = match_pending(st, *pid, pending, value) {
-                        out.insert(next);
+                        sink(next);
                     }
                 }
                 // Only τ processes the call; its successors carry the return.
@@ -116,13 +108,15 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
     }
 }
 
-/// Apply one label to one state, returning every allowed next state.
+/// Apply one label to one state, returning every allowed next state, each
+/// once.
 ///
-/// An empty result means the label is not allowed from this state. Thin
-/// wrapper over [`os_trans_into`] for callers that want an owned vector.
+/// An empty result means the label is not allowed from this state.
 pub fn os_trans(cfg: &SpecConfig, st: &OsState, label: &OsLabel) -> Vec<OsState> {
     let mut out = StateSet::new();
-    os_trans_into(cfg, st, label, &mut out);
+    os_trans_sink(cfg, st, label, &mut |s| {
+        out.insert(s);
+    });
     out.into_states()
 }
 
@@ -130,9 +124,16 @@ pub fn os_trans(cfg: &SpecConfig, st: &OsState, label: &OsLabel) -> Vec<OsState>
 /// emit the states with its pending return installed. The union over all
 /// processes models the scheduler's freedom to pick any of them.
 pub fn expand_calls_into(cfg: &SpecConfig, st: &OsState, out: &mut StateSet) {
+    expand_calls_sink(cfg, st, &mut |s| {
+        out.insert(s);
+    });
+}
+
+/// [`expand_calls_into`], handing each state to `sink`.
+fn expand_calls_sink(cfg: &SpecConfig, st: &OsState, sink: &mut impl FnMut(OsState)) {
     for (pid, proc) in &st.procs {
         if matches!(proc.run_state, ProcRunState::InCall(_)) {
-            process_call_into(cfg, st, *pid, out);
+            process_call_sink(cfg, st, *pid, sink);
         }
     }
 }
@@ -144,166 +145,263 @@ pub fn expand_calls(cfg: &SpecConfig, st: &OsState) -> Vec<OsState> {
     out.into_states()
 }
 
-/// Close a state set under internal (τ) steps, in place: afterwards the set
-/// contains every state reachable from a member by any sequence of internal
-/// steps, including the original members. [`tau_close_with_sleeps`] with
-/// every member starting awake, for callers that keep no sleep sets (the
-/// checker keeps them across labels and calls that directly).
-pub fn tau_close(cfg: &SpecConfig, states: &mut StateSet) {
-    let mut sleeps = vec![SleepSet::new(); states.len()];
-    tau_close_with_sleeps(cfg, states, &mut sleeps);
+/// The states the checker tracks between two labels, each with its
+/// [`SleepSet`]; the set keeps the two in sync. This is where footprint-based
+/// partial-order reduction (POR, see `crates/core/DESIGN_POR.md`) lives, and
+/// its four operations are the only ways the tracked set changes:
+///
+/// - [`close`](TrackedSet::close) closes it under τ steps, skipping the
+///   dispatches the sleep sets show a sibling already covered;
+/// - [`after`](TrackedSet::after) applies one observed label;
+/// - [`truncate`](TrackedSet::truncate) enforces a size bound;
+/// - `From<StateSet>` starts from recovered or fresh states, nothing asleep.
+///
+/// Every interleaving order of commuting calls reaches equal states, so the
+/// reduction never changes which states are tracked, only how many calls
+/// are dispatched to find them. The deduplicating [`StateSet`] remains the
+/// exact safety net: POR only prunes τ orderings, never invents states.
+#[derive(Debug, Clone, Default)]
+pub struct TrackedSet {
+    states: StateSet,
+    /// `sleeps[i]` belongs to `states.get(i)`.
+    sleeps: Vec<SleepSet>,
 }
 
-/// Close a state set under τ steps while maintaining per-state sleep sets
-/// (`sleeps[i]` belongs to `states.get(i)`; missing entries are treated as
-/// empty and the vector is kept in sync with the set). This is the one
-/// closure loop: [`tau_close`] and the checker both run it.
-///
-/// States are expanded from a worklist in insertion order, and from each
-/// state the in-flight calls are processed in ascending pid order. A
-/// successor already in the set is not expanded again unless its sleep set
-/// shrinks.
-///
-/// With POR active this is a sleep-set exploration: each successor's sleep
-/// set records the earlier-processed calls its own call commutes with (per
-/// [`Footprint::commutes`]). A sleeping process is never expanded — the
-/// interleaving that runs it first was already explored from a sibling — so
-/// commuting calls are dispatched in one interleaving order instead of all
-/// `n!`. Every order reaches equal states, so the set tracked is the same
-/// with POR on or off; POR saves the dispatches.
-/// When a successor is already tracked, its sleep set is intersected with the
-/// new path's (a state reached two ways may only sleep what both ways may
-/// skip) and it is re-explored if that intersection woke anything. The
-/// deduplicating [`StateSet`] remains the exact safety net: POR only prunes
-/// τ orderings, never invents states.
-///
-/// Footprints are computed only when POR is active and some successor has
-/// to decide what to sleep on. Without POR, or with one call in flight and
-/// nothing asleep, no footprint is computed, nothing is put to sleep, and
-/// every state is expanded once, in insertion order.
-pub fn tau_close_with_sleeps(cfg: &SpecConfig, states: &mut StateSet, sleeps: &mut Vec<SleepSet>) {
-    // Expansion/pruning tallies are kept in locals and flushed to the global
-    // registry once per closure call: the loop below is the checker's hottest
-    // path, and per-insert shared atomics would ping-pong cache lines across
-    // pool workers.
-    let len_before = states.len();
-    sleeps.resize(states.len(), SleepSet::new());
-    let por = por_active(cfg);
-    let mut sleep_pruned: u64 = 0;
+impl From<StateSet> for TrackedSet {
+    /// `states` with nothing asleep: recovered or fresh states carry no record
+    /// of which interleavings a sibling covered.
+    fn from(states: StateSet) -> TrackedSet {
+        let sleeps = vec![SleepSet::new(); states.len()];
+        TrackedSet { states, sleeps }
+    }
+}
 
-    // `known[i]` caches footprints of calls in flight in `states[i]`: when a
-    // step with footprint `f` produces a successor, the cached footprints of
-    // calls `f` commutes with remain valid there (commutation means the step
-    // invalidated none of their recorded reads — the same stability argument
-    // the sleep sets rest on), so they are inherited instead of recomputed.
-    let mut known: Vec<SleepSet> = vec![SleepSet::new(); states.len()];
-    let mut queue: VecDeque<u32> = (0..states.len() as u32).collect();
-    while let Some(i) = queue.pop_front() {
-        let Some(st) = states.get(i as usize) else { continue };
-        let st = st.clone();
-        let cur_sleep = sleeps[i as usize].clone();
-        let mut in_flight: u64 = 0;
-        let awake: Vec<Pid> = st
-            .procs
-            .iter()
-            .filter(|(pid, p)| {
-                let in_call = matches!(p.run_state, ProcRunState::InCall(_));
-                if in_call {
-                    in_flight += 1;
-                }
-                in_call && !cur_sleep.iter().any(|(q, _)| q == *pid)
-            })
-            .map(|(pid, _)| *pid)
-            .collect();
-        // Each in-flight call skipped here is an expansion the sleep set
-        // saved us (the interleaving running it first was explored from a
-        // sibling).
-        sleep_pruned += in_flight - awake.len() as u64;
-        if awake.is_empty() {
-            continue;
-        }
-        // `acc` is the sleep set handed to each successor in turn: the
-        // transitions already explored from this state (inherited sleepers
-        // plus earlier awake pids), to be filtered down to those that
-        // commute with the successor's own transition.
-        let mut acc = cur_sleep;
-        for (k, &pid) in awake.iter().enumerate() {
-            // The footprint only matters if some successor will have to
-            // decide whether to sleep on this call: either `acc` is
-            // non-empty (we must test commutation against it) or a later
-            // awake pid will have this call in its `acc`.
-            let need_fp = por && (!acc.is_empty() || k + 1 < awake.len());
-            let fp: Option<Arc<Footprint>> = if need_fp {
-                if let Some(cached) =
-                    known[i as usize].iter().find(|(q, _)| *q == pid).map(|(_, f)| f.clone())
-                {
-                    Some(cached)
-                } else {
-                    match st.procs.get(&pid).map(|p| &p.run_state) {
-                        Some(ProcRunState::InCall(cmd)) => {
-                            let f = Arc::new(footprint_of(cfg, &st, pid, cmd));
-                            known[i as usize].push((pid, f.clone()));
-                            Some(f)
+impl TrackedSet {
+    /// The tracked states, in insertion order.
+    pub fn states(&self) -> &StateSet {
+        &self.states
+    }
+
+    /// The sleep sets, parallel to [`states`](TrackedSet::states).
+    pub fn sleep_sets(&self) -> &[SleepSet] {
+        &self.sleeps
+    }
+
+    /// Number of tracked states.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Whether no state is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// See [`StateSet::take_dedup_hits`].
+    pub fn take_dedup_hits(&mut self) -> u64 {
+        self.states.take_dedup_hits()
+    }
+
+    /// Close the set under τ steps, in place: afterwards it contains every
+    /// state reachable from a member by any sequence of internal steps,
+    /// including the original members.
+    ///
+    /// States are expanded from a worklist in insertion order, and from each
+    /// state the in-flight calls are processed in ascending pid order. This
+    /// is a sleep-set exploration: each successor's sleep set records the
+    /// earlier-processed calls its own call commutes with (per
+    /// [`Footprint::commutes`]). A sleeping process is never expanded — the
+    /// interleaving that runs it first was already explored from a sibling —
+    /// so commuting calls are dispatched in one interleaving order instead of
+    /// all `n!`. When a successor is already tracked, its sleep set is
+    /// intersected with the new path's (a state reached two ways may only
+    /// sleep what both ways may skip) and it is re-explored if that
+    /// intersection woke anything.
+    ///
+    /// Footprints are computed only when some successor has to decide what
+    /// to sleep on: with one call in flight and nothing asleep, none is
+    /// computed and every state is expanded once, in insertion order.
+    pub fn close(&mut self, cfg: &SpecConfig) {
+        let TrackedSet { states, sleeps } = self;
+        // Expansion/pruning tallies are kept in locals and flushed to the
+        // global registry once per closure call: the loop below is the
+        // checker's hottest path, and per-insert shared atomics would
+        // ping-pong cache lines across pool workers.
+        let len_before = states.len();
+        let mut sleep_pruned: u64 = 0;
+
+        // `known[i]` caches footprints of calls in flight in `states[i]`:
+        // when a step with footprint `f` produces a successor, the cached
+        // footprints of calls `f` commutes with remain valid there
+        // (commutation means the step invalidated none of their recorded
+        // reads — the same stability argument the sleep sets rest on), so
+        // they are inherited instead of recomputed.
+        let mut known: Vec<SleepSet> = vec![SleepSet::new(); states.len()];
+        let mut queue: VecDeque<u32> = (0..states.len() as u32).collect();
+        while let Some(i) = queue.pop_front() {
+            let Some(st) = states.get(i as usize) else { continue };
+            let st = st.clone();
+            let cur_sleep = sleeps[i as usize].clone();
+            let mut in_flight: u64 = 0;
+            let awake: Vec<Pid> = st
+                .procs
+                .iter()
+                .filter(|(pid, p)| {
+                    let in_call = matches!(p.run_state, ProcRunState::InCall(_));
+                    if in_call {
+                        in_flight += 1;
+                    }
+                    in_call && !cur_sleep.iter().any(|(q, _)| q == *pid)
+                })
+                .map(|(pid, _)| *pid)
+                .collect();
+            // Each in-flight call skipped here is an expansion the sleep set
+            // saved us (the interleaving running it first was explored from
+            // a sibling).
+            sleep_pruned += in_flight - awake.len() as u64;
+            if awake.is_empty() {
+                continue;
+            }
+            // `acc` is the sleep set handed to each successor in turn: the
+            // transitions already explored from this state (inherited
+            // sleepers plus earlier awake pids), to be filtered down to those
+            // that commute with the successor's own transition.
+            let mut acc = cur_sleep;
+            for (k, &pid) in awake.iter().enumerate() {
+                // The footprint only matters if some successor will have to
+                // decide whether to sleep on this call: either `acc` is
+                // non-empty (we must test commutation against it) or a later
+                // awake pid will have this call in its `acc`.
+                let need_fp = !acc.is_empty() || k + 1 < awake.len();
+                let fp: Option<Arc<Footprint>> = if need_fp {
+                    if let Some(cached) =
+                        known[i as usize].iter().find(|(q, _)| *q == pid).map(|(_, f)| f.clone())
+                    {
+                        Some(cached)
+                    } else {
+                        match st.procs.get(&pid).map(|p| &p.run_state) {
+                            Some(ProcRunState::InCall(cmd)) => {
+                                let f = Arc::new(footprint_of(cfg, &st, pid, cmd));
+                                known[i as usize].push((pid, f.clone()));
+                                Some(f)
+                            }
+                            _ => None,
                         }
-                        _ => None,
                     }
-                }
-            } else {
-                None
-            };
-            let (succ_sleep, succ_known): (SleepSet, SleepSet) = match &fp {
-                Some(fp) => (
-                    acc.iter().filter(|(_, qfp)| fp.commutes(qfp)).cloned().collect(),
-                    known[i as usize]
-                        .iter()
-                        .filter(|(q, qfp)| *q != pid && fp.commutes(qfp))
-                        .cloned()
-                        .collect(),
-                ),
-                None => (SleepSet::new(), SleepSet::new()),
-            };
-            // Successors go straight into the main set — no scratch set, and
-            // each is fingerprinted exactly once, at this insert.
-            process_call_sink(cfg, &st, pid, &mut |succ| {
-                let (j, fresh) = states.insert_full(succ);
-                if fresh {
-                    sleeps.push(succ_sleep.clone());
-                    known.push(succ_known.clone());
-                    queue.push_back(j as u32);
                 } else {
-                    // Reached again along a different path: the state may
-                    // only sleep what every path allows it to sleep. (The
-                    // footprint cache needs no such intersection — a cached
-                    // footprint is a fact about the state, sound however the
-                    // state was reached — so the existing entries stand.)
-                    let before = sleeps[j].len();
-                    sleeps[j].retain(|(q, _)| succ_sleep.iter().any(|(q2, _)| q2 == q));
-                    if sleeps[j].len() < before {
+                    None
+                };
+                let (succ_sleep, succ_known): (SleepSet, SleepSet) = match &fp {
+                    Some(fp) => (
+                        acc.iter().filter(|(_, qfp)| fp.commutes(qfp)).cloned().collect(),
+                        known[i as usize]
+                            .iter()
+                            .filter(|(q, qfp)| *q != pid && fp.commutes(qfp))
+                            .cloned()
+                            .collect(),
+                    ),
+                    None => (SleepSet::new(), SleepSet::new()),
+                };
+                // Successors go straight into the main set — no scratch set,
+                // and each is fingerprinted exactly once, at this insert.
+                process_call_sink(cfg, &st, pid, &mut |succ| {
+                    let (j, fresh) = states.insert_full(succ);
+                    if fresh {
+                        sleeps.push(succ_sleep.clone());
+                        known.push(succ_known.clone());
                         queue.push_back(j as u32);
+                    } else {
+                        // Reached again along a different path: the state
+                        // may only sleep what every path allows it to sleep.
+                        // (The footprint cache needs no such intersection —
+                        // a cached footprint is a fact about the state,
+                        // sound however the state was reached — so the
+                        // existing entries stand.)
+                        let before = sleeps[j].len();
+                        sleeps[j].retain(|(q, _)| succ_sleep.iter().any(|(q2, _)| q2 == q));
+                        if sleeps[j].len() < before {
+                            queue.push_back(j as u32);
+                        }
                     }
+                });
+                if let Some(fp) = fp {
+                    acc.push((pid, fp));
                 }
-            });
-            if let Some(fp) = fp {
-                acc.push((pid, fp));
             }
         }
+        obs::m::TAU_STATES_EXPANDED_TOTAL.add((states.len() - len_before) as u64);
+        obs::m::TAU_SLEEP_PRUNED_TOTAL.add(sleep_pruned);
     }
-    obs::m::TAU_STATES_EXPANDED_TOTAL.add((states.len() - len_before) as u64);
-    obs::m::TAU_SLEEP_PRUNED_TOTAL.add(sleep_pruned);
+
+    /// The set after one observed label — a call, return, create or destroy;
+    /// τ steps go through [`close`](TrackedSet::close): the union of every
+    /// tracked state's next states.
+    ///
+    /// Each successor inherits its source state's sleep set: no such label
+    /// is a step of a sleeping process (it is mid-call, so a call or destroy
+    /// from it is rejected, and its return matches nothing until τ
+    /// processes the call), and only a return touches the filesystem. A
+    /// successor reached from several sources may only sleep what every
+    /// source lets it sleep. A return can have an effect its τ step did not
+    /// (a `write` applies its data at return time), so on a return the
+    /// inherited sleepers that do not commute with that effect wake.
+    pub fn after(&self, cfg: &SpecConfig, label: &OsLabel) -> TrackedSet {
+        debug_assert!(!matches!(label, OsLabel::Tau), "τ steps go through `close`");
+        let returning = match label {
+            OsLabel::Return(pid, _) => Some(*pid),
+            _ => None,
+        };
+        let mut out = TrackedSet::default();
+        for (st, src) in self.states.iter().zip(&self.sleeps) {
+            let effect =
+                returning.filter(|_| !src.is_empty()).and_then(|pid| return_effect_of(st, pid));
+            let kept: SleepSet;
+            let sleep = match effect {
+                Some(eff) => {
+                    kept = src.iter().filter(|(_, qfp)| eff.commutes(qfp)).cloned().collect();
+                    &kept
+                }
+                None => src,
+            };
+            // Successors are consumed by value: cloning would reset their
+            // cached fingerprints and make `insert_full` recompute them.
+            os_trans_sink(cfg, st, label, &mut |succ| {
+                let (j, fresh) = out.states.insert_full(succ);
+                if fresh {
+                    out.sleeps.push(sleep.clone());
+                } else {
+                    out.sleeps[j].retain(|(q, _)| sleep.iter().any(|(q2, _)| q2 == q));
+                }
+            });
+        }
+        out
+    }
+
+    /// Keep only the first `n` states and wake every sleeper: the dropped
+    /// states may be the siblings that covered a survivor's skipped
+    /// interleavings. A no-op when the set is already small enough.
+    pub fn truncate(&mut self, n: usize) {
+        if self.states.len() <= n {
+            return;
+        }
+        self.states.truncate(n);
+        self.sleeps.truncate(n);
+        self.sleeps.iter_mut().for_each(SleepSet::clear);
+    }
 }
 
-/// The τ-closure of a slice of states. Thin wrapper over [`tau_close`] for
-/// callers working with vectors.
+/// The τ-closure of a slice of states: [`TrackedSet::close`] with every
+/// member starting awake, for callers that keep no sleep sets.
 pub fn tau_closure(cfg: &SpecConfig, states: &[OsState]) -> Vec<OsState> {
-    let mut set: StateSet = states.iter().cloned().collect();
-    tau_close(cfg, &mut set);
-    set.into_states()
+    let mut tracked = TrackedSet::from(states.iter().cloned().collect::<StateSet>());
+    tracked.close(cfg);
+    tracked.states.into_states()
 }
 
 /// Process the call a single process has in flight, handing each state with
 /// its pending return installed (one state for the error envelope, one per
 /// success branch, one for "special" behaviour) to `sink`. Generic over the
-/// sink so the POR closure can insert straight into its main set without a
+/// sink so the closure can insert straight into its main set without a
 /// scratch `StateSet` per expansion.
 fn process_call_sink(cfg: &SpecConfig, st: &OsState, pid: Pid, sink: &mut impl FnMut(OsState)) {
     let Some(proc) = st.procs.get(&pid) else { return };
@@ -334,17 +432,12 @@ fn process_call_sink(cfg: &SpecConfig, st: &OsState, pid: Pid, sink: &mut impl F
     }
 }
 
-/// [`process_call_sink`] inserting into a [`StateSet`].
-pub fn process_call_into(cfg: &SpecConfig, st: &OsState, pid: Pid, out: &mut StateSet) {
+/// The distinct states [`process_call_sink`] emits, in order.
+pub fn process_call(cfg: &SpecConfig, st: &OsState, pid: Pid) -> Vec<OsState> {
+    let mut out = StateSet::new();
     process_call_sink(cfg, st, pid, &mut |s| {
         out.insert(s);
     });
-}
-
-/// Vector-returning wrapper over [`process_call_into`].
-pub fn process_call(cfg: &SpecConfig, st: &OsState, pid: Pid) -> Vec<OsState> {
-    let mut out = StateSet::new();
-    process_call_into(cfg, st, pid, &mut out);
     out.into_states()
 }
 
@@ -629,7 +722,7 @@ mod tests {
         let ret = OsLabel::Return(pid, ret);
         let mut out = StateSet::new();
         for processed in process_call(cfg, st, pid) {
-            os_trans_into(cfg, &processed, &ret, &mut out);
+            out.extend(os_trans(cfg, &processed, &ret));
         }
         out.into_states()
     }
@@ -994,6 +1087,18 @@ mod tests {
         a.len() == b.len() && a.iter().all(|st| b.contains(st))
     }
 
+    /// The unreduced τ-closure of `st`: every state reachable by τ steps,
+    /// each expanded once with every call in flight dispatched.
+    fn full_closure(cfg: &SpecConfig, st: &OsState) -> StateSet {
+        let mut set = StateSet::singleton(st.clone());
+        let mut i = 0;
+        while let Some(st) = set.get(i).cloned() {
+            expand_calls_into(cfg, &st, &mut set);
+            i += 1;
+        }
+        set
+    }
+
     #[test]
     fn por_closure_prunes_commuting_interleavings() {
         let calls = [
@@ -1001,21 +1106,19 @@ mod tests {
             (Pid(2), OsCommand::Mkdir("/b".into(), FileMode::new(0o777))),
             (Pid(3), OsCommand::Mkdir("/c".into(), FileMode::new(0o777))),
         ];
-        let on = cfg();
-        let off = on.with_por(PorMode::Off);
-        let st = state_with_calls(&on, &calls);
+        let cfg = cfg();
+        let st = state_with_calls(&cfg, &calls);
 
-        let mut full: StateSet = StateSet::singleton(st.clone());
-        tau_close(&off, &mut full);
-        let mut reduced = StateSet::singleton(st);
-        let mut sleeps = vec![SleepSet::new()];
-        tau_close_with_sleeps(&on, &mut reduced, &mut sleeps);
+        let full = full_closure(&cfg, &st);
+        let mut reduced = TrackedSet::from(StateSet::singleton(st));
+        reduced.close(&cfg);
 
         // Every creation order reaches the same state, so both closures
         // track the same set; POR gets there dispatching fewer calls, and a
         // call left asleep is one it did not dispatch.
-        assert!(same_states(&full, &reduced), "{} vs {} states", full.len(), reduced.len());
-        assert_eq!(sleeps.len(), reduced.len());
+        let (states, sleeps) = (reduced.states(), reduced.sleep_sets());
+        assert!(same_states(&full, states), "{} vs {} states", full.len(), states.len());
+        assert_eq!(sleeps.len(), states.len());
         assert!(sleeps.iter().any(|s| !s.is_empty()), "POR skipped no dispatch");
     }
 
@@ -1027,28 +1130,21 @@ mod tests {
             (INITIAL_PID, OsCommand::Mkdir("/a".into(), FileMode::new(0o777))),
             (Pid(2), OsCommand::Mkdir("/a".into(), FileMode::new(0o777))),
         ];
-        let on = cfg();
-        let off = on.with_por(PorMode::Off);
-        let st = state_with_calls(&on, &calls);
+        let cfg = cfg();
+        let st = state_with_calls(&cfg, &calls);
 
-        let mut full = StateSet::singleton(st.clone());
-        tau_close(&off, &mut full);
-        let mut reduced = StateSet::singleton(st);
-        tau_close(&on, &mut reduced);
+        let full = full_closure(&cfg, &st);
+        let reduced = StateSet::from(tau_closure(&cfg, &[st]));
 
         assert!(same_states(&full, &reduced), "{} vs {} states", full.len(), reduced.len());
     }
 
     #[test]
     fn por_is_inert_for_a_single_process() {
-        let on = cfg();
-        let off = on.with_por(PorMode::Off);
+        let cfg = cfg();
         let calls = [(INITIAL_PID, OsCommand::Mkdir("/a".into(), FileMode::new(0o777)))];
-        let st = state_with_calls(&on, &calls);
-        let mut a = StateSet::singleton(st.clone());
-        tau_close(&on, &mut a);
-        let mut b = StateSet::singleton(st);
-        tau_close(&off, &mut b);
-        assert_eq!(a.states(), b.states());
+        let st = state_with_calls(&cfg, &calls);
+        let full = full_closure(&cfg, &st);
+        assert_eq!(tau_closure(&cfg, &[st]), full.into_states());
     }
 }

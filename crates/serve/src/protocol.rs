@@ -18,8 +18,9 @@
 //! ```
 //!
 //! `cfg` is a [`SpecConfig`](sibylfs_core::flavor::SpecConfig) in its
-//! `Display` syntax (`linux`, `posix,no-por`, `mac,non-root`, ...);
-//! [`parse_spec_config`] round-trips it. Verdict text is exactly what
+//! `Display` syntax (`linux`, `posix,no-perms`, `mac,non-root`, ...);
+//! [`parse_spec_config`] round-trips it, and a config it rejects gets an
+//! error response. Verdict text is exactly what
 //! `sibylfs_check::render_checked_trace` produces, which is what makes
 //! "server verdicts are bit-identical to batch checking" a meaningful,
 //! CI-checkable property.
@@ -289,7 +290,7 @@ mod tests {
     fn request_round_trip() {
         for req in [
             Request::Check { config: "linux".into(), trace_text: "@type trace\n".into() },
-            Request::Check { config: "posix,no-por".into(), trace_text: String::new() },
+            Request::Check { config: "posix,no-perms".into(), trace_text: String::new() },
             Request::Stats,
             Request::Metrics,
         ] {

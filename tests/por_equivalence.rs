@@ -1,9 +1,9 @@
 //! Partial-order reduction equivalence suite.
 //!
-//! POR is a pure optimisation: with `PorMode::Footprint` the checker
-//! dispatches fewer calls, but every verdict it hands out — per-step
-//! verdicts, deviations, acceptance — and the size of every tracked state
-//! set must be identical to the full `PorMode::Off` expansion, because
+//! POR is a pure optimisation: the production checker dispatches fewer calls
+//! than full expansion, but every verdict it hands out — per-step verdicts,
+//! deviations, acceptance — and the size of every tracked state set must be
+//! identical to the full-expansion reference checker in `common`, because
 //! interleaving orders reach equal states. This suite pins that equivalence
 //! over
 //!
@@ -26,16 +26,15 @@ use proptest::test_runner::TestRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod common;
+
+use common::{ref_check_trace, ref_tau_closure, ref_union_trans, RefChecked};
 use sibylfs::prelude::*;
 use sibylfs_core::commands::OsLabel;
-use sibylfs_core::flavor::PorMode;
 use sibylfs_core::footprint::footprint_of;
 use sibylfs_core::os::state_set::StateSet;
-use sibylfs_core::os::trans::{
-    default_completion, expand_calls, os_trans, os_trans_into, process_call, tau_close,
-    tau_close_with_sleeps, SleepSet,
-};
-use sibylfs_core::os::OsState;
+use sibylfs_core::os::trans::{default_completion, expand_calls, os_trans, process_call, TrackedSet};
+use sibylfs_core::os::{OsState, ProcRunState};
 use sibylfs_core::path::{resolve_path, FollowLast, ResName, ResolveCtx};
 use sibylfs_core::types::{Gid, Pid, Uid, INITIAL_PID};
 use sibylfs_check::{CheckedTrace, StepVerdict};
@@ -43,32 +42,43 @@ use sibylfs_explore::mutate::Mutator;
 use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 use sibylfs_testgen::sequences::model_gap_scripts;
 
-/// A checked trace with what POR may legitimately change normalised: the
+/// A verdict with what POR may legitimately change normalised: the
 /// `allowed` diagnostic lists are accumulated in state-set iteration order,
 /// which reduction may permute, so they are sorted (the *sets* must still
 /// agree). State-set sizes stay: POR prunes dispatches, never states.
-fn normalized(checked: &CheckedTrace) -> CheckedTrace {
-    let mut c = checked.clone();
-    for step in &mut c.steps {
-        if let StepVerdict::Deviation { allowed, .. } = &mut step.verdict {
-            allowed.sort();
-        }
+fn normalized(verdict: &StepVerdict) -> StepVerdict {
+    let mut v = verdict.clone();
+    if let StepVerdict::Deviation { allowed, .. } = &mut v {
+        allowed.sort();
     }
-    for d in &mut c.deviations {
-        d.allowed.sort();
-    }
-    c
+    v
 }
 
-fn assert_equivalent(cfg: &SpecConfig, trace: &Trace, ctx: &str) -> (CheckedTrace, CheckedTrace) {
-    let check = |por| check_trace(&cfg.with_por(por), trace, CheckOptions::default());
-    let (on, off) = (check(PorMode::Footprint), check(PorMode::Off));
-    assert_eq!(
-        normalized(&on),
-        normalized(&off),
-        "{ctx}: POR on/off verdicts or state-set sizes differ"
-    );
-    (on, off)
+fn sorted(allowed: &[String]) -> Vec<String> {
+    let mut allowed = allowed.to_vec();
+    allowed.sort();
+    allowed
+}
+
+/// Check `trace` with the production checker and with the full-expansion
+/// reference, and require equal verdicts, deviations and state-set sizes at
+/// every step.
+fn assert_equivalent(cfg: &SpecConfig, trace: &Trace, ctx: &str) -> (CheckedTrace, RefChecked) {
+    let got = check_trace(cfg, trace, CheckOptions::default());
+    let want = ref_check_trace(cfg, trace, CheckOptions::default());
+    let got_steps: Vec<_> =
+        got.steps.iter().map(|s| (normalized(&s.verdict), s.states_tracked)).collect();
+    let want_steps: Vec<_> =
+        want.verdicts.iter().map(normalized).zip(want.set_sizes.iter().copied()).collect();
+    assert_eq!(got_steps, want_steps, "{ctx}: verdicts or set sizes differ from full expansion");
+    let got_deviations: Vec<_> =
+        got.deviations.iter().map(|d| (d.lineno, &d.observed, sorted(&d.allowed))).collect();
+    let want_deviations: Vec<_> =
+        want.deviations.iter().map(|(lineno, obs, allowed)| (*lineno, obs, sorted(allowed))).collect();
+    assert_eq!(got_deviations, want_deviations, "{ctx}: deviations differ from full expansion");
+    assert_eq!(got.accepted, want.accepted, "{ctx}: acceptance differs from full expansion");
+    assert_eq!(got.max_states_tracked, want.max_states_tracked, "{ctx}: max states differ");
+    (got, want)
 }
 
 #[test]
@@ -103,61 +113,93 @@ fn contention_traces_are_accepted_and_equivalent() {
         ContentionOptions::new(4, 1),
     ] {
         for trace in contention_traces(opts) {
-            let (on, off) = assert_equivalent(&cfg, &trace, &trace.name);
+            let (on, full) = assert_equivalent(&cfg, &trace, &trace.name);
             assert!(on.accepted, "{}: deviations {:?}", trace.name, on.deviations);
-            assert!(off.accepted);
+            assert!(full.accepted);
         }
     }
 }
 
 /// POR prunes dispatches, not states: interleaving orders reach equal states,
-/// so both modes track the same sets at every step. What POR saves shows in
-/// the closures before the returns: each tracks the states full expansion
-/// does, and some end with calls asleep, which POR never dispatched.
+/// so the checker tracks the sets full expansion does at every step. What
+/// POR saves shows in the closures before the returns: each tracks the
+/// states full expansion does, and some end with calls asleep, which POR
+/// never dispatched.
 #[test]
 fn por_actually_prunes_the_commuting_contention_families() {
     let cfg = SpecConfig::standard(Flavor::Linux);
-    let off = cfg.with_por(PorMode::Off);
     for trace in contention_traces(ContentionOptions::new(3, 2)) {
         assert_equivalent(&cfg, &trace, &trace.name);
-        let mut states = StateSet::singleton(OsState::initial_with_process(&cfg, INITIAL_PID));
+        let mut states = vec![OsState::initial_with_process(&cfg, INITIAL_PID)];
         let mut slept = false;
         for step in &trace.steps {
             if matches!(step.label, OsLabel::Return(..)) {
-                let mut reduced = states.clone();
-                let mut sleeps = vec![SleepSet::new(); reduced.len()];
-                tau_close_with_sleeps(&cfg, &mut reduced, &mut sleeps);
-                tau_close(&off, &mut states);
+                let mut reduced = TrackedSet::from(states.iter().cloned().collect::<StateSet>());
+                reduced.close(&cfg);
+                states = ref_tau_closure(&cfg, &states);
                 assert_eq!(reduced.len(), states.len(), "{} line {}", trace.name, step.lineno);
-                assert!(reduced.iter().all(|st| states.contains(st)), "{}", trace.name);
-                slept |= sleeps.iter().any(|s| !s.is_empty());
+                assert!(reduced.states().iter().all(|st| states.contains(st)), "{}", trace.name);
+                slept |= reduced.sleep_sets().iter().any(|s| !s.is_empty());
             }
-            let mut next = StateSet::new();
-            for st in &states {
-                os_trans_into(&cfg, st, &step.label, &mut next);
-            }
-            states = next;
+            states = ref_union_trans(&cfg, &states, &step.label);
         }
         assert!(slept, "{}: POR skipped no dispatch", trace.name);
     }
 }
 
-/// Check `trace` under `cfg` and require it accepted, with no step at the
-/// state bound and at most `2⁶` states tracked.
-fn assert_decided_within_64_states(cfg: &SpecConfig, trace: &Trace) {
-    let checked = check_trace(cfg, trace, CheckOptions::default());
-    assert!(checked.accepted, "{cfg}: {}: deviations {:?}", trace.name, checked.deviations);
-    assert!(
-        !checked.steps.iter().any(|s| matches!(s.verdict, StepVerdict::StateSetBounded { .. })),
-        "{cfg}: {} hit the state bound",
-        trace.name
-    );
-    assert!(
-        checked.max_states_tracked <= 64,
-        "{cfg}: {} tracked {} states",
-        trace.name,
-        checked.max_states_tracked
-    );
+/// Only τ processes a call, and a return from a process still in its call
+/// matches nothing, so a return never needs to skip a sleeper. Replays the
+/// checker's steps over accepted contention traces — a return or τ closes
+/// the set first, every other label is applied — and requires every pid
+/// asleep after a label to be in a call.
+#[test]
+fn a_sleeping_pid_is_always_in_a_call() {
+    let cfg = SpecConfig::standard(Flavor::Linux);
+    let mut sleepers = 0usize;
+    for opts in [ContentionOptions::new(3, 2), ContentionOptions::new(4, 2)] {
+        for trace in contention_traces(opts) {
+            let checked = check_trace(&cfg, &trace, CheckOptions::default());
+            assert!(checked.accepted, "{}", trace.name);
+            let initial = OsState::initial_with_process(&cfg, INITIAL_PID);
+            let mut tracked = TrackedSet::from(StateSet::singleton(initial));
+            for (step, checked_step) in trace.steps.iter().zip(&checked.steps) {
+                if matches!(step.label, OsLabel::Tau | OsLabel::Return(..)) {
+                    tracked.close(&cfg);
+                }
+                if !matches!(step.label, OsLabel::Tau) {
+                    tracked = tracked.after(&cfg, &step.label);
+                }
+                assert_eq!(tracked.len(), checked_step.states_tracked, "{}", trace.name);
+                for (st, sleep) in tracked.states().iter().zip(tracked.sleep_sets()) {
+                    for (pid, _) in sleep {
+                        let run_state = st.proc(*pid).map(|p| &p.run_state);
+                        assert!(
+                            matches!(run_state, Some(ProcRunState::InCall(_))),
+                            "{} line {}: pid {pid} sleeps in {run_state:?}",
+                            trace.name,
+                            step.lineno
+                        );
+                        sleepers += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(sleepers > 0, "no pid ever slept");
+}
+
+/// Require a check of `ctx` accepted, with no step at the state bound and at
+/// most `2⁶` states tracked.
+fn assert_decided_within_64_states(
+    ctx: &str,
+    accepted: bool,
+    deviations: &dyn std::fmt::Debug,
+    bounded: bool,
+    max_states_tracked: usize,
+) {
+    assert!(accepted, "{ctx}: deviations {deviations:?}");
+    assert!(!bounded, "{ctx} hit the state bound");
+    assert!(max_states_tracked <= 64, "{ctx} tracked {max_states_tracked} states");
 }
 
 /// Six renames in flight per round: every process renames its own file, so
@@ -168,17 +210,36 @@ fn rename_storm_p6_is_decided_and_accepted_under_por() {
         .into_iter()
         .find(|t| t.name.contains("rename_storm"))
         .expect("the rename storm family");
-    assert_decided_within_64_states(&SpecConfig::standard(Flavor::Linux), &trace);
+    let cfg = SpecConfig::standard(Flavor::Linux);
+    let checked = check_trace(&cfg, &trace, CheckOptions::default());
+    let bounded =
+        checked.steps.iter().any(|s| matches!(s.verdict, StepVerdict::StateSetBounded { .. }));
+    assert_decided_within_64_states(
+        &trace.name,
+        checked.accepted,
+        &checked.deviations,
+        bounded,
+        checked.max_states_tracked,
+    );
 }
 
 /// Full expansion decides six-way contention too: every interleaving order
-/// of the commuting calls reaches one equal state, so the unreduced closure
+/// of the commuting calls reaches one equal state, so the reference closure
 /// tracks the same few states the reduced one does.
 #[test]
 fn six_way_contention_is_decided_without_por() {
-    let cfg = SpecConfig::standard(Flavor::Linux).with_por(PorMode::Off);
+    let cfg = SpecConfig::standard(Flavor::Linux);
+    let bound = CheckOptions::default().max_states;
     for trace in contention_traces(ContentionOptions::new(6, 2)) {
-        assert_decided_within_64_states(&cfg, &trace);
+        let (_, full) = assert_equivalent(&cfg, &trace, &trace.name);
+        let bounded = full.set_sizes.iter().any(|&n| n > bound);
+        assert_decided_within_64_states(
+            &trace.name,
+            full.accepted,
+            &full.deviations,
+            bounded,
+            full.max_states_tracked,
+        );
     }
 }
 
@@ -324,15 +385,15 @@ fn non_commuting_rename_traces() -> Vec<Trace> {
 fn renames_that_must_not_commute_are_accepted_and_equivalent() {
     let cfg = SpecConfig::standard(Flavor::Linux);
     for trace in non_commuting_rename_traces() {
-        let (on, off) = assert_equivalent(&cfg, &trace, &trace.name);
-        assert!(off.accepted, "{}: full expansion rejects: {:?}", trace.name, off.deviations);
+        let (on, full) = assert_equivalent(&cfg, &trace, &trace.name);
+        assert!(full.accepted, "{}: full expansion rejects: {:?}", trace.name, full.deviations);
         assert!(on.accepted, "{}: POR rejects: {:?}", trace.name, on.deviations);
     }
 }
 
 /// A concurrent trace whose return deviates: the recovery path (allowed-set
-/// diagnostics, default completions, sleep-set reset) must behave identically
-/// in both modes.
+/// diagnostics, default completions, sleep-set reset) must behave as full
+/// expansion does.
 #[test]
 fn deviating_concurrent_trace_is_equivalent() {
     let cfg = SpecConfig::standard(Flavor::Linux);

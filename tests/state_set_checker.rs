@@ -7,177 +7,27 @@
 //!
 //! * a differential property test drives randomly generated scripts through
 //!   the execute→check pipeline and compares the production checker, step by
-//!   step, against a reference implementation kept here that still uses the
-//!   naive `Vec` representation;
+//!   step, against the reference implementation in `common`, which still
+//!   uses the naive `Vec` representation;
 //! * a multi-process regression test asserts tracked state sets actually grow
 //!   past one while calls are in flight and collapse again once returns
 //!   resolve the nondeterminism — guarding the fingerprint dedup against both
 //!   over-merging (distinct states conflated) and under-merging (duplicate
 //!   states retained).
 
+mod common;
+
+use common::ref_check_trace;
 use sibylfs_check::{check_trace, CheckOptions, StepKind, StepVerdict};
 use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue};
 use sibylfs_core::flags::FileMode;
-use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
-use sibylfs_core::os::trans::{allowed_returns, default_completion, expand_calls, os_trans};
-use sibylfs_core::os::{OsState, ProcRunState};
+use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_core::types::{Gid, Pid, Uid, INITIAL_PID};
 use sibylfs_exec::{execute_script, ExecOptions};
 use sibylfs_fsimpl::configs;
 use sibylfs_script::Trace;
 use sibylfs_testgen::random::random_scripts;
 use sibylfs_testgen::RandomOptions;
-
-// ---------------------------------------------------------------------------
-// Reference checker: the pre-StateSet algorithm over plain vectors, dedup by
-// structural equality only. Kept deliberately independent of `StateSet` and
-// fingerprints so the differential test exercises the new machinery against
-// first principles.
-// ---------------------------------------------------------------------------
-
-fn ref_union_trans(cfg: &SpecConfig, states: &[OsState], label: &OsLabel) -> Vec<OsState> {
-    let mut out: Vec<OsState> = Vec::new();
-    for st in states {
-        for next in os_trans(cfg, st, label) {
-            if !out.contains(&next) {
-                out.push(next);
-            }
-        }
-    }
-    out
-}
-
-fn ref_tau_closure(cfg: &SpecConfig, states: &[OsState]) -> Vec<OsState> {
-    let mut all: Vec<OsState> = states.to_vec();
-    let mut frontier: Vec<OsState> = states.to_vec();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for st in &frontier {
-            for succ in expand_calls(cfg, st) {
-                if !all.contains(&succ) {
-                    all.push(succ.clone());
-                    next.push(succ);
-                }
-            }
-        }
-        frontier = next;
-    }
-    all
-}
-
-/// What the reference checker reports for one trace, shaped for comparison
-/// against the production `CheckedTrace`.
-struct RefChecked {
-    accepted: bool,
-    /// Per-trace-step verdicts (same order as the trace's steps).
-    verdicts: Vec<StepVerdict>,
-    /// `(lineno, observed, allowed)` for each deviation.
-    deviations: Vec<(usize, String, Vec<String>)>,
-    /// Per-trace-step tracked-set sizes after each step.
-    set_sizes: Vec<usize>,
-    max_states_tracked: usize,
-}
-
-fn ref_check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> RefChecked {
-    let mut states: Vec<OsState> = vec![OsState::initial_with_process(cfg, INITIAL_PID)];
-    let mut verdicts = Vec::new();
-    let mut deviations = Vec::new();
-    let mut set_sizes = Vec::new();
-    let mut max_states = states.len();
-
-    for step in &trace.steps {
-        let label = &step.label;
-        let (next, verdict): (Vec<OsState>, StepVerdict) = match label {
-            OsLabel::Call(..) | OsLabel::Create(..) | OsLabel::Destroy(..) => {
-                let next = ref_union_trans(cfg, &states, label);
-                if next.is_empty() {
-                    (
-                        states.clone(),
-                        StepVerdict::Deviation {
-                            observed: label.to_string(),
-                            allowed: vec![
-                                "<no such transition from any tracked state>".to_string()
-                            ],
-                            continued_with: None,
-                        },
-                    )
-                } else {
-                    (next, StepVerdict::Ok)
-                }
-            }
-            OsLabel::Tau => (ref_tau_closure(cfg, &states), StepVerdict::Ok),
-            OsLabel::Return(pid, observed) => {
-                let closed = ref_tau_closure(cfg, &states);
-                let next = ref_union_trans(cfg, &closed, label);
-                if !next.is_empty() {
-                    (next, StepVerdict::Ok)
-                } else {
-                    let mut allowed: Vec<String> = Vec::new();
-                    for st in &closed {
-                        for a in allowed_returns(st, *pid) {
-                            if !allowed.contains(&a) {
-                                allowed.push(a);
-                            }
-                        }
-                    }
-                    let mut recovered: Vec<OsState> = Vec::new();
-                    let mut continued_with = None;
-                    for st in &closed {
-                        if let Some((value, next_st)) = default_completion(st, *pid) {
-                            if continued_with.is_none() {
-                                continued_with = Some(value.to_string());
-                            }
-                            if !recovered.contains(&next_st) {
-                                recovered.push(next_st);
-                            }
-                        }
-                    }
-                    if recovered.is_empty() {
-                        recovered = closed
-                            .iter()
-                            .map(|st| {
-                                let mut st = st.clone();
-                                if let Some(p) = st.proc_mut(*pid) {
-                                    p.run_state = ProcRunState::Ready;
-                                }
-                                st
-                            })
-                            .collect();
-                    }
-                    (
-                        recovered,
-                        StepVerdict::Deviation {
-                            observed: observed.to_string(),
-                            allowed,
-                            continued_with,
-                        },
-                    )
-                }
-            }
-        };
-        if let StepVerdict::Deviation { observed, allowed, .. } = &verdict {
-            deviations.push((step.lineno, observed.clone(), allowed.clone()));
-        }
-        verdicts.push(verdict);
-        states = next;
-        max_states = max_states.max(states.len());
-        set_sizes.push(states.len());
-        if states.len() > opts.max_states {
-            states.truncate(opts.max_states);
-        }
-        if states.is_empty() {
-            states = vec![OsState::initial_with_process(cfg, INITIAL_PID)];
-        }
-    }
-
-    RefChecked {
-        accepted: deviations.is_empty(),
-        verdicts,
-        deviations,
-        set_sizes,
-        max_states_tracked: max_states,
-    }
-}
 
 /// Differential property: on randomly generated scripts executed against both
 /// a conformant and a deliberately deviant file-system profile, the StateSet
@@ -235,8 +85,8 @@ fn state_set_checker_matches_reference_on_random_scripts() {
 /// mean over-merging: distinct interleavings conflated by a bad fingerprint),
 /// and once every return has resolved the nondeterminism the set must
 /// collapse back to exactly one state (failing to collapse would mean
-/// under-merging: structurally equal states kept as duplicates). Both modes
-/// must collapse: the two mutations reach one equal state in either order.
+/// under-merging: structurally equal states kept as duplicates; the two
+/// mutations reach one equal state in either order).
 #[test]
 fn multi_process_state_sets_grow_and_collapse() {
     let mut t = Trace::new("multiproc", "concurrency");
@@ -254,28 +104,26 @@ fn multi_process_state_sets_grow_and_collapse() {
     // processed before the mkdir took effect).
     t.push_label(OsLabel::Return(Pid(3), ErrorOrValue::Error(sibylfs_core::errno::Errno::ENOENT)));
 
-    for por in [PorMode::Footprint, PorMode::Off] {
-        let cfg = SpecConfig::standard(Flavor::Linux).with_por(por);
-        let checked = check_trace(&cfg, &t, CheckOptions::default());
-        assert!(checked.accepted, "{cfg}: trace should conform: {:?}", checked.deviations);
-        let sizes: Vec<usize> = checked.steps.iter().map(|s| s.states_tracked).collect();
+    let cfg = SpecConfig::standard(Flavor::Linux);
+    let checked = check_trace(&cfg, &t, CheckOptions::default());
+    assert!(checked.accepted, "{cfg}: trace should conform: {:?}", checked.deviations);
+    let sizes: Vec<usize> = checked.steps.iter().map(|s| s.states_tracked).collect();
 
-        // The set grew past one while returns were being matched against
-        // states with calls still in flight.
-        assert!(
-            checked.max_states_tracked > 1,
-            "{cfg}: expected residual nondeterminism, got max_states_tracked = {}",
-            checked.max_states_tracked
-        );
-        assert!(sizes.iter().any(|&n| n > 1), "{cfg}: no step tracked more than one state");
+    // The set grew past one while returns were being matched against
+    // states with calls still in flight.
+    assert!(
+        checked.max_states_tracked > 1,
+        "{cfg}: expected residual nondeterminism, got max_states_tracked = {}",
+        checked.max_states_tracked
+    );
+    assert!(sizes.iter().any(|&n| n > 1), "{cfg}: no step tracked more than one state");
 
-        // After the final return every branch has converged: exactly one state.
-        let last = checked.steps.last().unwrap();
-        assert_eq!(last.kind, StepKind::Return);
-        assert!(matches!(last.verdict, StepVerdict::Ok));
-        assert_eq!(
-            last.states_tracked, 1,
-            "{cfg}: state set failed to collapse after all returns resolved: {sizes:?}"
-        );
-    }
+    // After the final return every branch has converged: exactly one state.
+    let last = checked.steps.last().unwrap();
+    assert_eq!(last.kind, StepKind::Return);
+    assert!(matches!(last.verdict, StepVerdict::Ok));
+    assert_eq!(
+        last.states_tracked, 1,
+        "{cfg}: state set failed to collapse after all returns resolved: {sizes:?}"
+    );
 }
