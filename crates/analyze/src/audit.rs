@@ -22,6 +22,11 @@
 //! `undeclared-errno` findings are sound alarms while `dead-errno` findings
 //! mean the errno is unreachable under every configuration — dead spec
 //! surface.
+//!
+//! Calls link by file, not by bare name: a call reaches its own file's
+//! function of that name if there is one, and otherwise only one the file
+//! imports (`name(…)`), one in the module it names (`module::name(…)`), or a
+//! method (`.name(…)`, `Type::name(…)`: a text scan cannot tell the type).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,10 +125,15 @@ impl AuditReport {
 /// A function segmented out of the model source.
 #[derive(Debug, Clone, Default)]
 struct FnInfo {
+    /// The file the function is defined in.
+    file: &'static str,
+    /// Whether it is defined in an `impl` block.
+    method: bool,
     /// Direct `Errno::X` mentions in the body.
     errnos: BTreeSet<Errno>,
-    /// Identifiers invoked as `name(…)` or `.name(…)` in the body.
-    calls: BTreeSet<String>,
+    /// Lowercase identifiers invoked in the body, each after what names it:
+    /// `.`, the segment of `segment::name(…)`, or nothing.
+    calls: BTreeSet<(String, String)>,
 }
 
 /// Everything the scanner extracts from the model source.
@@ -131,8 +141,31 @@ struct FnInfo {
 struct ModelScan {
     fns: Vec<FnInfo>,
     by_name: BTreeMap<String, Vec<usize>>,
+    /// file → each name it imports with `use`, and the module it comes from.
+    imports: BTreeMap<&'static str, BTreeMap<String, String>>,
     /// spec-point id → source sites (`file:line`).
     points: BTreeMap<String, Vec<String>>,
+}
+
+/// The module a model file defines: `fs_ops/mod.rs` → `fs_ops`,
+/// `fs_ops/dirs.rs` → `dirs`.
+fn module_of(file: &str) -> &str {
+    let stem = file.trim_end_matches(".rs").trim_end_matches("/mod");
+    stem.rsplit('/').next().unwrap_or(stem)
+}
+
+/// The names a flat `use` statement (`use a::b::c;`, `use a::b::{c, d as
+/// e};`) imports, each with the module it comes from.
+fn use_items(stmt: &str) -> impl Iterator<Item = (String, String)> + '_ {
+    let (head, items) = match stmt.split_once('{') {
+        Some(split) => split,
+        None => stmt.rsplit_once("::").unwrap_or(("", stmt)),
+    };
+    let module = head.trim_end_matches("::").rsplit("::").next().unwrap_or("");
+    items
+        .split([',', '}', ';'])
+        .filter_map(|item| item.split_whitespace().last())
+        .map(move |name| (name.to_string(), module.to_string()))
 }
 
 /// Blank out comments, string contents, and char literals so that brace
@@ -255,7 +288,6 @@ fn ident_before(line: &str, end: usize) -> &str {
     &line[start..end]
 }
 
-/// Scan one model file into `scan`, skipping `#[cfg(test)]` modules.
 /// Collect the body tokens of one code segment into a function's info:
 /// direct `Errno::X` mentions and lowercase identifiers invoked as `name(`.
 fn collect_tokens(info: &mut FnInfo, seg: &str) {
@@ -277,12 +309,19 @@ fn collect_tokens(info: &mut FnInfo, seg: &str) {
                 .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
                 && id != "fn"
             {
-                info.calls.insert(id.to_string());
+                let head = seg[..pos - id.len()].trim_end();
+                let via = match head.strip_suffix("::") {
+                    Some(path) => ident_before(path, path.len()),
+                    None if head.ends_with('.') => ".",
+                    None => "",
+                };
+                info.calls.insert((via.to_string(), id.to_string()));
             }
         }
     }
 }
 
+/// Scan one model file into `scan`, skipping `#[cfg(test)]` modules.
 fn scan_file(scan: &mut ModelScan, file: &'static str, raw: &str) {
     let blanked = blank_noncode(raw);
     let mut depth: i32 = 0;
@@ -290,6 +329,12 @@ fn scan_file(scan: &mut ModelScan, file: &'static str, raw: &str) {
     let mut fn_stack: Vec<(usize, i32)> = Vec::new();
     // Set when a `fn name` signature was seen and its `{` is still pending.
     let mut pending_fn: Option<String> = None;
+    // Depths of the `impl` blocks the scan is inside, and whether an `impl`
+    // header's `{` is still pending.
+    let mut impl_depths: Vec<i32> = Vec::new();
+    let mut pending_impl = false;
+    // A `use` statement read so far, until its `;`.
+    let mut use_stmt: Option<String> = None;
     // Set when `#[cfg(test)]` was seen and the guarded item is pending.
     let mut pending_test_attr = false;
     // When inside a test module: the depth to return to before resuming.
@@ -313,6 +358,18 @@ fn scan_file(scan: &mut ModelScan, file: &'static str, raw: &str) {
         let in_test = skip_above.is_some();
 
         if !in_test {
+            if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
+                use_stmt = Some(String::new());
+            }
+            if let Some(stmt) = &mut use_stmt {
+                stmt.push_str(trimmed);
+                if trimmed.contains(';') {
+                    scan.imports.entry(file).or_default().extend(use_items(stmt));
+                    use_stmt = None;
+                }
+            }
+            pending_impl |= trimmed.starts_with("impl ") || trimmed.starts_with("impl<");
+
             // Function signature detection.
             let mut search = 0;
             while let Some(rel) = line[search..].find("fn ") {
@@ -370,9 +427,13 @@ fn scan_file(scan: &mut ModelScan, file: &'static str, raw: &str) {
                     if skip_above.is_none() {
                         if let Some(name) = pending_fn.take() {
                             let fi = scan.fns.len();
-                            scan.fns.push(FnInfo::default());
+                            // A function nested in another is not a method.
+                            let method = !impl_depths.is_empty() && fn_stack.is_empty();
+                            scan.fns.push(FnInfo { file, method, ..FnInfo::default() });
                             scan.by_name.entry(name).or_default().push(fi);
                             fn_stack.push((fi, depth));
+                        } else if std::mem::take(&mut pending_impl) {
+                            impl_depths.push(depth);
                         }
                     }
                     depth += 1;
@@ -383,6 +444,9 @@ fn scan_file(scan: &mut ModelScan, file: &'static str, raw: &str) {
                         if depth <= d {
                             fn_stack.pop();
                         }
+                    }
+                    if impl_depths.last().is_some_and(|&d| depth <= d) {
+                        impl_depths.pop();
                     }
                     if let Some(d) = skip_above {
                         if depth <= d {
@@ -410,25 +474,41 @@ fn scan_model() -> (ModelScan, usize) {
     (scan, sources.len())
 }
 
+/// The functions a call from `caller` reaches (the module docs give the
+/// rule).
+fn callees(scan: &ModelScan, caller: &FnInfo, (via, name): &(String, String)) -> Vec<usize> {
+    let named = scan.by_name.get(name).map_or(&[][..], Vec::as_slice);
+    let own: Vec<usize> =
+        named.iter().copied().filter(|&fi| scan.fns[fi].file == caller.file).collect();
+    if !own.is_empty() {
+        return own;
+    }
+    let imported = scan.imports.get(caller.file).and_then(|imports| imports.get(name));
+    let reached = |fi: &usize| {
+        let f = &scan.fns[*fi];
+        match via.as_str() {
+            "" => imported.is_some_and(|module| module == module_of(f.file)),
+            q if q == "." || q.starts_with(char::is_uppercase) => f.method,
+            module => module == module_of(f.file),
+        }
+    };
+    named.iter().copied().filter(reached).collect()
+}
+
 /// Every errno reachable from `entry` through the call graph of the scanned
 /// model (union over all flavours and trait configurations).
 fn reachable_errnos(scan: &ModelScan, entry: &str) -> BTreeSet<Errno> {
     let mut out = BTreeSet::new();
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    let mut queue: Vec<&str> = vec![entry];
-    while let Some(name) = queue.pop() {
-        if !seen.insert(name) {
+    let mut seen: BTreeSet<usize> = BTreeSet::new();
+    let mut queue: Vec<usize> = scan.by_name.get(entry).cloned().unwrap_or_default();
+    while let Some(fi) = queue.pop() {
+        if !seen.insert(fi) {
             continue;
         }
-        let Some(indices) = scan.by_name.get(name) else { continue };
-        for &fi in indices {
-            let f = &scan.fns[fi];
-            out.extend(f.errnos.iter().copied());
-            for callee in &f.calls {
-                if !seen.contains(callee.as_str()) {
-                    queue.push(callee);
-                }
-            }
+        let f = &scan.fns[fi];
+        out.extend(f.errnos.iter().copied());
+        for call in &f.calls {
+            queue.extend(callees(scan, f, call));
         }
     }
     out
@@ -551,7 +631,7 @@ mod tests {
             scan.fns[fi].errnos.iter().copied().collect::<Vec<_>>(),
             vec![Errno::ENOENT]
         );
-        assert!(scan.fns[fi].calls.contains("beta"));
+        assert!(scan.fns[fi].calls.contains(&(String::new(), "beta".to_string())));
         assert!(scan.points.contains_key("alpha/go"));
         assert!(!scan.points.contains_key("test/hidden"));
     }
@@ -569,6 +649,34 @@ fn unrelated() { other(Errno::EBUSY); }
         let e = reachable_errnos(&scan, "top");
         assert!(e.contains(&Errno::ELOOP));
         assert!(!e.contains(&Errno::EBUSY));
+    }
+
+    #[test]
+    fn calls_link_by_file_not_by_bare_name() {
+        let mut scan = ModelScan::default();
+        scan_file(
+            &mut scan,
+            "fs/a.rs",
+            "fn spec_a() { helper(); }\nfn helper() { fail(Errno::EACCES); }\n\
+             pub fn shared() { fail(Errno::EBUSY); }\n",
+        );
+        scan_file(
+            &mut scan,
+            "fs/b.rs",
+            "fn spec_b() { helper(); apply(); }\nfn helper() { fail(Errno::ELOOP); }\n",
+        );
+        scan_file(
+            &mut scan,
+            "fs/c.rs",
+            "use crate::fs::a::shared;\nfn spec_c() { shared(); b::helper(); }\n\
+             struct S;\nimpl S {\n    fn apply(&self) { fail(Errno::EPERM); }\n}\n",
+        );
+        let errnos = |entry| reachable_errnos(&scan, entry).into_iter().collect::<Vec<_>>();
+        // Each file's own `helper`, and no other file's `apply` method.
+        assert_eq!(errnos("spec_a"), [Errno::EACCES]);
+        assert_eq!(errnos("spec_b"), [Errno::ELOOP]);
+        // An import by name and a module path reach across files.
+        assert_eq!(errnos("spec_c"), [Errno::EBUSY, Errno::ELOOP]);
     }
 
     #[test]

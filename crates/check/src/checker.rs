@@ -12,22 +12,22 @@
 //! reached after a shared prefix of `(lineno, label)` pairs is exactly the
 //! state a fresh check of the new trace reaches there.
 //!
-//! A snapshot, taken after each label, holds that loop state: the tracked
-//! set (a core `TrackedSet`: the states plus the partial-order reduction's
-//! bookkeeping), the largest set size so far, and each process's last call
-//! (for deviation diagnostics). It also holds the label with its line
-//! number, which is what the next trace is matched against, and how many
-//! `CheckedStep`s and `Deviation`s the trace had recorded by then, so the
-//! prefix's verdicts are reused without rerunning.
+//! The loop state is just the tracked set (a core `TrackedSet`: the states
+//! plus the partial-order reduction's bookkeeping); a deviation names its
+//! call through [`Trace::call_of`], which reads only the labels up to it. A
+//! snapshot, taken after each label, holds the tracked set, the label with
+//! its line number, which is what the next trace is matched against, and how
+//! many `CheckedStep`s and `Deviation`s the trace had recorded by then, so
+//! the prefix's verdicts are reused without rerunning.
 
-use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel};
+use sibylfs_core::commands::OsLabel;
 use sibylfs_core::coverage::{self, CoverageKey, CoverageMap};
 use sibylfs_core::flavor::SpecConfig;
 use sibylfs_core::obs;
 use sibylfs_core::os::state_set::StateSet;
 use sibylfs_core::os::trans::{allowed_returns, default_completion, TrackedSet};
 use sibylfs_core::os::{OsState, ProcRunState};
-use sibylfs_core::types::{Pid, INITIAL_PID};
+use sibylfs_core::types::INITIAL_PID;
 use sibylfs_script::Trace;
 
 /// Options controlling a checking run.
@@ -174,44 +174,18 @@ pub struct CheckedTrace {
     pub max_states_tracked: usize,
 }
 
-impl CheckedTrace {
-    /// The number of `OS_CALL` steps checked.
-    pub fn calls_checked(&self) -> usize {
-        self.steps.iter().filter(|s| s.kind == StepKind::Call).count()
-    }
-}
-
-/// The loop state between two labels: everything the verdicts of the
-/// remaining labels depend on, apart from the labels themselves.
-#[derive(Debug, Clone)]
-struct LoopState {
-    /// The states the real system might be in.
-    tracked: TrackedSet,
-    /// The largest state set tracked so far.
-    max_states: usize,
-    /// The last call made by each process, for diagnostics.
-    last_call: Vec<(Pid, OsCommand)>,
-}
-
-impl LoopState {
-    fn initial(cfg: &SpecConfig) -> LoopState {
-        let tracked = initial_set(cfg);
-        LoopState { max_states: tracked.len(), tracked, last_call: Vec::new() }
-    }
-}
-
 /// The initial state alone.
 fn initial_set(cfg: &SpecConfig) -> TrackedSet {
     TrackedSet::from(StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID)))
 }
 
-/// One label of the last trace a [`Checker`] checked, and the loop state
+/// One label of the last trace a [`Checker`] checked, and the tracked set
 /// after it.
 #[derive(Debug)]
 struct Snapshot {
     lineno: usize,
     label: OsLabel,
-    after: LoopState,
+    after: TrackedSet,
     /// How many `CheckedStep`s and `Deviation`s the trace had by then.
     steps: usize,
     deviations: usize,
@@ -268,9 +242,9 @@ impl Checker {
             .take_while(|(snap, step)| snap.lineno == step.lineno && snap.label == step.label)
             .count();
         self.snapshots.truncate(resumed);
-        let (mut st, steps_kept, deviations_kept) = match self.snapshots.last() {
+        let (mut tracked, steps_kept, deviations_kept) = match self.snapshots.last() {
             Some(snap) => (snap.after.clone(), snap.steps, snap.deviations),
-            None => (LoopState::initial(cfg), 0, 0),
+            None => (initial_set(cfg), 0, 0),
         };
         self.steps.truncate(steps_kept);
         self.deviations.truncate(deviations_kept);
@@ -280,14 +254,9 @@ impl Checker {
         // insert path is too hot for shared atomics (see `StateSet::take_dedup_hits`).
         let mut dedup_hits: u64 = 0;
 
-        for step in &trace.steps[resumed..] {
+        for (index, step) in trace.steps.iter().enumerate().skip(resumed) {
             let label = &step.label;
-            if let OsLabel::Call(pid, cmd) = label.clone() {
-                st.last_call.retain(|(p, _)| *p != pid);
-                st.last_call.push((pid, cmd));
-            }
-
-            let (next, verdict) = apply_label(cfg, std::mem::take(&mut st.tracked), label);
+            let (next, verdict) = apply_label(cfg, std::mem::take(&mut tracked), label);
             match &verdict {
                 StepVerdict::Ok => {}
                 // Only the bound-handling block below constructs this variant.
@@ -295,10 +264,9 @@ impl Checker {
                     unreachable!("apply_label never returns StateSetBounded")
                 }
                 StepVerdict::Deviation { observed, allowed, .. } => {
-                    let (function, call) = label
-                        .pid()
-                        .and_then(|pid| st.last_call.iter().find(|(p, _)| *p == pid))
-                        .map(|(_, c)| (c.name().to_string(), c.to_string()))
+                    let (function, call) = trace
+                        .call_of(index)
+                        .map(|c| (c.name().to_string(), c.to_string()))
                         .unwrap_or_else(|| ("<unknown>".to_string(), String::new()));
                     deviations.push(Deviation {
                         lineno: step.lineno,
@@ -309,27 +277,26 @@ impl Checker {
                     });
                 }
             }
-            st.tracked = next;
-            dedup_hits += st.tracked.take_dedup_hits();
-            st.max_states = st.max_states.max(st.tracked.len());
+            tracked = next;
+            dedup_hits += tracked.take_dedup_hits();
             steps.push(CheckedStep {
                 lineno: step.lineno,
                 label: StepLabel::Observed(label.clone()),
                 kind: StepKind::of_label(label),
                 verdict,
-                states_tracked: st.tracked.len(),
+                states_tracked: tracked.len(),
             });
-            if st.tracked.len() > opts.max_states {
+            if tracked.len() > opts.max_states {
                 // The remainder of the check is lossy: record it loudly so the
                 // trace is never reported clean.
-                let tracked = st.tracked.len();
+                let size = tracked.len();
                 obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
-                st.tracked.truncate(opts.max_states);
+                tracked.truncate(opts.max_states);
                 deviations.push(Deviation {
                     lineno: step.lineno,
                     function: "<checker>".to_string(),
                     call: "<state-set safety bound>".to_string(),
-                    observed: format!("{tracked} states tracked"),
+                    observed: format!("{size} states tracked"),
                     allowed: vec![format!(
                         "at most {} states (CheckOptions::max_states)",
                         opts.max_states
@@ -339,20 +306,20 @@ impl Checker {
                     lineno: step.lineno,
                     label: StepLabel::Synthetic("<state-set safety bound exceeded; set truncated>"),
                     kind: StepKind::Internal,
-                    verdict: StepVerdict::StateSetBounded { tracked, bound: opts.max_states },
-                    states_tracked: st.tracked.len(),
+                    verdict: StepVerdict::StateSetBounded { tracked: size, bound: opts.max_states },
+                    states_tracked: tracked.len(),
                 });
             }
-            if st.tracked.is_empty() {
+            if tracked.is_empty() {
                 // Unrecoverable (should not happen: recovery always yields at
                 // least one state); restart from a fresh state to keep going.
-                st.tracked = initial_set(cfg);
+                tracked = initial_set(cfg);
             }
             if keep {
                 self.snapshots.push(Snapshot {
                     lineno: step.lineno,
                     label: label.clone(),
-                    after: st.clone(),
+                    after: tracked.clone(),
                     steps: steps.len(),
                     deviations: deviations.len(),
                 });
@@ -371,13 +338,15 @@ impl Checker {
         } else {
             (std::mem::take(steps), std::mem::take(deviations))
         };
+        // The initial set holds one state, so the largest set is at least 1.
+        let max_states_tracked = steps.iter().map(|s| s.states_tracked).fold(1, usize::max);
         CheckedTrace {
             name: trace.name.clone(),
             group: trace.group.clone(),
             accepted: deviations.is_empty(),
             steps,
             deviations,
-            max_states_tracked: st.max_states,
+            max_states_tracked,
         }
     }
 }
@@ -394,8 +363,9 @@ pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> Check
 /// specification branches (`spec_point`s) evaluated during this check,
 /// collected through the thread-scoped collector so concurrent exploration
 /// workers do not pollute each other, and the `(syscall, outcome)` transitions
-/// observed in the trace itself. Checking runs entirely on the calling
-/// thread, which is what makes the scoped collection sound.
+/// observed in the trace itself, each return keyed by its
+/// [`Trace::call_of`]. Checking runs entirely on the calling thread, which is
+/// what makes the scoped collection sound.
 pub fn check_trace_with_coverage(
     cfg: &SpecConfig,
     trace: &Trace,
@@ -407,24 +377,13 @@ pub fn check_trace_with_coverage(
     for point in coverage::scoped_end() {
         map.insert(CoverageKey::Branch(point));
     }
-    // Pair each return with the call in flight for its process.
-    let mut pending: Vec<(Pid, &'static str)> = Vec::new();
-    for step in &trace.steps {
-        match &step.label {
-            OsLabel::Call(pid, cmd) => {
-                pending.retain(|(p, _)| p != pid);
-                pending.push((*pid, cmd.name()));
-            }
-            OsLabel::Return(pid, ret) => {
-                if let Some(pos) = pending.iter().position(|(p, _)| p == pid) {
-                    let (_, syscall) = pending.remove(pos);
-                    map.insert(CoverageKey::Transition {
-                        syscall: syscall.to_string(),
-                        outcome: coverage::outcome_name(ret),
-                    });
-                }
-            }
-            _ => {}
+    for (index, step) in trace.steps.iter().enumerate() {
+        let OsLabel::Return(_, ret) = &step.label else { continue };
+        if let Some(cmd) = trace.call_of(index) {
+            map.insert(CoverageKey::Transition {
+                syscall: cmd.name().to_string(),
+                outcome: coverage::outcome_name(ret),
+            });
         }
     }
     (checked, map)
@@ -499,28 +458,21 @@ fn apply_label(
                     recovered.insert(st);
                 }
             }
-            let verdict = StepVerdict::Deviation {
-                observed: render_observed(observed),
-                allowed,
-                continued_with,
-            };
+            let verdict =
+                StepVerdict::Deviation { observed: observed.to_string(), allowed, continued_with };
             (TrackedSet::from(recovered), verdict)
         }
     }
 }
 
-fn render_observed(v: &ErrorOrValue) -> String {
-    v.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibylfs_core::commands::{OsCommand, RetValue};
+    use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue};
     use sibylfs_core::errno::Errno;
     use sibylfs_core::flags::{FileMode, OpenFlags};
     use sibylfs_core::flavor::Flavor;
-    use sibylfs_core::types::Fd;
+    use sibylfs_core::types::{Fd, Pid};
 
     fn cfg() -> SpecConfig {
         SpecConfig::standard(Flavor::Linux)
@@ -548,7 +500,7 @@ mod tests {
         ]);
         let checked = check_trace(&cfg(), &t, CheckOptions::default());
         assert!(checked.accepted, "{:?}", checked.deviations);
-        assert_eq!(checked.calls_checked(), 5);
+        assert_eq!(checked.steps.iter().filter(|s| s.kind == StepKind::Call).count(), 5);
         assert!(checked.max_states_tracked >= 1);
     }
 
@@ -715,6 +667,19 @@ mod tests {
         // The same trace re-checked yields the same coverage (determinism).
         let (_, cov2) = check_trace_with_coverage(&cfg(), &t, CheckOptions::default());
         assert_eq!(cov, cov2);
+    }
+
+    #[test]
+    fn a_tagged_return_with_no_call_in_flight_is_rejected() {
+        let text = "@type trace\n# Test os___return_without_call\n@process create 2 0 0\n\
+                    2: mkdir \"/a\" 0o777\nRV_none\n[p2] RV_none\n";
+        let t = sibylfs_script::parse_trace(text).unwrap();
+        let (checked, cov) = check_trace_with_coverage(&cfg(), &t, CheckOptions::default());
+        assert!(!checked.accepted);
+        assert_eq!(checked.deviations.len(), 1);
+        let deviation = &checked.deviations[0];
+        assert_eq!((deviation.lineno, deviation.function.as_str()), (4, "<unknown>"));
+        assert!(cov.branch_points().contains("os/return_without_call_rejected"));
     }
 
     #[test]

@@ -112,20 +112,6 @@ pub fn render_parse_error(source_name: &str, err: &sibylfs_script::ParseError) -
     out
 }
 
-/// A one-line summary used in suite listings.
-pub fn summarize_checked_trace(checked: &CheckedTrace) -> String {
-    if checked.accepted {
-        format!("PASS {}", checked.name)
-    } else {
-        format!(
-            "FAIL {} ({} deviation{})",
-            checked.name,
-            checked.deviations.len(),
-            if checked.deviations.len() == 1 { "" } else { "s" }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,13 +160,5 @@ mod tests {
         assert!(text.contains("# unexpected results: EPERM"));
         assert!(text.contains("# allowed are only: EEXIST, ENOTEMPTY"));
         assert!(text.contains("# continuing with EEXIST"));
-    }
-
-    #[test]
-    fn summary_lines() {
-        let mut t = sample();
-        assert!(summarize_checked_trace(&t).starts_with("FAIL"));
-        t.accepted = true;
-        assert!(summarize_checked_trace(&t).starts_with("PASS"));
     }
 }

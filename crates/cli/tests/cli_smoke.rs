@@ -409,20 +409,9 @@ fn check_parse_failure_renders_a_diagnostic_block_with_position() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn serve_then_remote_check_matches_local_checking() {
+/// Start `sibylfs serve` on a free port; returns the child and its address.
+fn spawn_server() -> (std::process::Child, String) {
     use std::io::{BufRead, BufReader};
-
-    let dir = temp_dir("serve-remote");
-    let script_path = dir.join("t.script");
-    write(
-        &script_path,
-        "@type script\n# Test serve___smoke\nmkdir \"d\" 0o755\nstat \"d\"\nrmdir \"d\"\n",
-    );
-    let out = run(&["exec", "--config", "linux/ext4", script_path.to_str().unwrap()]);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-    let trace_path = dir.join("t.trace");
-    write(&trace_path, &stdout(&out));
 
     let mut server = Command::new(bin())
         .args(["serve", "--addr", "127.0.0.1:0"])
@@ -440,7 +429,23 @@ fn serve_then_remote_check_matches_local_checking() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("bad contract line {line:?}"))
         .to_string();
+    (server, addr)
+}
 
+#[test]
+fn serve_then_remote_check_matches_local_checking() {
+    let dir = temp_dir("serve-remote");
+    let script_path = dir.join("t.script");
+    write(
+        &script_path,
+        "@type script\n# Test serve___smoke\nmkdir \"d\" 0o755\nstat \"d\"\nrmdir \"d\"\n",
+    );
+    let out = run(&["exec", "--config", "linux/ext4", script_path.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let trace_path = dir.join("t.trace");
+    write(&trace_path, &stdout(&out));
+
+    let (mut server, addr) = spawn_server();
     let local = run(&["check", "--flavor", "linux", trace_path.to_str().unwrap()]);
     let remote = run(&["check", "--remote", &addr, trace_path.to_str().unwrap()]);
     let _ = server.kill();
@@ -448,6 +453,62 @@ fn serve_then_remote_check_matches_local_checking() {
     assert_eq!(code(&local), 0, "stderr: {}", stderr(&local));
     assert_eq!(code(&remote), 0, "stderr: {}", stderr(&remote));
     assert_eq!(stdout(&remote), stdout(&local), "remote verdicts must be bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The contention families' traces, in which calls from several processes
+/// overlap, check from files and over the wire exactly as in-process: one
+/// `check` invocation and one `check --remote` session over all 16 files
+/// both print what one in-process `Checker` session renders.
+#[test]
+fn contention_traces_check_from_files_and_over_the_wire() {
+    use sibylfs_check::{render_checked_trace, CheckOptions, Checker};
+    use sibylfs_core::flavor::{Flavor, SpecConfig};
+    use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
+
+    let dir = temp_dir("contention");
+    let mut checker = Checker::new(&SpecConfig::standard(Flavor::Linux), CheckOptions::default());
+    let mut expected = String::new();
+    let mut files = Vec::new();
+    for trace in (3..=6).flat_map(|p| contention_traces(ContentionOptions::new(p, 2))) {
+        let checked = checker.check(&trace);
+        assert!(checked.accepted, "{}: {:?}", trace.name, checked.deviations);
+        expected += &render_checked_trace(&checked);
+        expected.push('\n');
+        let path = dir.join(format!("{}.trace", trace.name));
+        write(&path, &sibylfs_script::render_trace(&trace));
+        files.push(path.to_str().expect("utf-8 temp path").to_string());
+    }
+    assert_eq!(files.len(), 16);
+    let check = |extra: &[&str]| {
+        let mut args = vec!["check", "--flavor", "linux"];
+        args.extend(extra);
+        args.extend(files.iter().map(String::as_str));
+        run(&args)
+    };
+
+    let local = check(&[]);
+    assert_eq!(code(&local), 0, "stderr: {}", stderr(&local));
+    assert_eq!(stdout(&local), expected);
+    let (mut server, addr) = spawn_server();
+    let remote = check(&["--remote", &addr]);
+    let _ = server.kill();
+    let _ = server.wait();
+    assert_eq!(code(&remote), 0, "stderr: {}", stderr(&remote));
+    assert_eq!(stdout(&remote), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A return tagged for a process with no call in flight parses, and the
+/// checker rejects it.
+#[test]
+fn a_tagged_return_with_no_call_in_flight_is_not_accepted() {
+    let dir = temp_dir("stray-return");
+    let path = dir.join("t.trace");
+    write(&path, "@type trace\n# Test os___stray_return\n@process create 2 0 0\n[p2] RV_none\n");
+    let out = run(&["check", "--flavor", "linux", path.to_str().unwrap()]);
+    assert_eq!(code(&out), 1, "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("# Verdict: NOT accepted"), "{}", stdout(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -50,13 +50,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue, Stat};
+use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue, Stat};
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flags::{FileMode, OpenFlags, SeekWhence};
-use sibylfs_core::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid, INITIAL_PID};
-use sibylfs_script::{Script, ScriptStep, Trace};
+use sibylfs_core::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid};
+use sibylfs_fsimpl::World;
+use sibylfs_script::{Script, Trace};
 
-use crate::{ExecError, ExecOptions, Executor};
+use crate::{record, ExecError, ExecOptions, Executor};
 
 // The backend is split across three modules:
 //
@@ -346,11 +347,7 @@ struct HostWorld {
     entered: Option<u32>,
 }
 
-impl HostWorld {
-    fn new() -> HostWorld {
-        HostWorld { procs: BTreeMap::new(), groups: BTreeMap::new(), entered: None }
-    }
-
+impl World for HostWorld {
     fn create_process(&mut self, pid: Pid, uid: Uid, gid: Gid) {
         // Regain full privilege to open the jail root regardless of what the
         // previous call ran as.
@@ -407,31 +404,6 @@ impl HostWorld {
                 }
                 raw::close(proc.cwd_fd);
             }
-        }
-    }
-
-    /// Switch the worker into the virtual process's execution context:
-    /// working directory, umask, supplementary groups, and effective
-    /// credentials (in that order — credential changes come last because they
-    /// drop the privileges the other steps may need).
-    fn enter(&self, proc: &VProc) {
-        // SAFETY: `fchdir`/`umask`/credential calls take integers only;
-        // `setgroups` reads `groups.len()` u32s from `groups`, which is a
-        // live Vec for the duration of the call and not retained.
-        unsafe {
-            raw::seteuid(0);
-            raw::setegid(0);
-            raw::fchdir(proc.cwd_fd);
-            raw::umask(proc.umask);
-            let groups: Vec<u32> = self
-                .groups
-                .iter()
-                .filter(|(_, members)| members.contains(&proc.uid))
-                .map(|(gid, _)| *gid)
-                .collect();
-            raw::setgroups(groups.len(), groups.as_ptr());
-            raw::setegid(proc.gid);
-            raw::seteuid(proc.uid);
         }
     }
 
@@ -665,6 +637,37 @@ impl HostWorld {
             }
         }
     }
+}
+
+impl HostWorld {
+    fn new() -> HostWorld {
+        HostWorld { procs: BTreeMap::new(), groups: BTreeMap::new(), entered: None }
+    }
+
+    /// Switch the worker into the virtual process's execution context:
+    /// working directory, umask, supplementary groups, and effective
+    /// credentials (in that order — credential changes come last because they
+    /// drop the privileges the other steps may need).
+    fn enter(&self, proc: &VProc) {
+        // SAFETY: `fchdir`/`umask`/credential calls take integers only;
+        // `setgroups` reads `groups.len()` u32s from `groups`, which is a
+        // live Vec for the duration of the call and not retained.
+        unsafe {
+            raw::seteuid(0);
+            raw::setegid(0);
+            raw::fchdir(proc.cwd_fd);
+            raw::umask(proc.umask);
+            let groups: Vec<u32> = self
+                .groups
+                .iter()
+                .filter(|(_, members)| members.contains(&proc.uid))
+                .map(|(gid, _)| *gid)
+                .collect();
+            raw::setgroups(groups.len(), groups.as_ptr());
+            raw::setegid(proc.gid);
+            raw::seteuid(proc.uid);
+        }
+    }
 
     fn real_fd(&self, pid: Pid, vfd: Fd) -> Option<i32> {
         self.procs.get(&pid.0).and_then(|p| p.fds.get(&vfd.0)).copied()
@@ -785,26 +788,7 @@ unsafe fn c_str_bytes(name: &[std::os::raw::c_char; 256]) -> &[u8] {
 /// hygiene (the second half is the jail reset in [`pool`]).
 fn run_script_in_jail(script: &Script, opts: ExecOptions) -> Trace {
     let mut world = HostWorld::new();
-    let (uid, gid) = if opts.root_user { (Uid(0), Gid(0)) } else { (Uid(1000), Gid(1000)) };
-    world.create_process(INITIAL_PID, uid, gid);
-
-    let mut trace = Trace::new(script.name.clone(), script.group.clone());
-    for step in &script.steps {
-        match step {
-            ScriptStep::Call { pid, cmd } => {
-                let ret = world.call(*pid, cmd);
-                trace.push_call_return(*pid, cmd.clone(), ret);
-            }
-            ScriptStep::CreateProcess { pid, uid, gid } => {
-                world.create_process(*pid, *uid, *gid);
-                trace.push_label(OsLabel::Create(*pid, *uid, *gid));
-            }
-            ScriptStep::DestroyProcess { pid } => {
-                world.destroy_process(*pid);
-                trace.push_label(OsLabel::Destroy(*pid));
-            }
-        }
-    }
+    let trace = record(&mut world, script, opts);
     let pids: Vec<u32> = world.procs.keys().copied().collect();
     for pid in pids {
         world.destroy_process(Pid(pid));
@@ -907,7 +891,7 @@ impl Executor for HostFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue};
+    use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue};
 
     fn host_or_skip() -> Option<HostFs> {
         if HostFs::available() {

@@ -17,10 +17,10 @@
 //!   scripts, issuing genuine libc syscalls, as the paper's test executor
 //!   does (§6.2). See the [`host`] module.
 //!
-//! Both backends record the same [`Trace`] structure, so the checker and the
-//! reporting pipeline are oblivious to where a trace came from — which is
-//! what lets `tests/host_differential.rs` compare the simulation against the
-//! real kernel with the model as the oracle.
+//! Both backends record the same [`Trace`] structure through one loop, so
+//! the checker and the reporting pipeline are oblivious to where a trace
+//! came from — which is what lets `tests/host_differential.rs` compare the
+//! simulation against the real kernel with the model as the oracle.
 
 use std::fmt;
 
@@ -28,7 +28,7 @@ use sibylfs_core::commands::OsLabel;
 use sibylfs_core::obs;
 use sibylfs_core::pool;
 use sibylfs_core::types::{Gid, Uid, INITIAL_PID};
-use sibylfs_fsimpl::{BehaviorProfile, SimOs};
+use sibylfs_fsimpl::{BehaviorProfile, SimOs, World};
 use sibylfs_script::{Script, ScriptStep, Trace};
 
 // The host backend's inline libc bindings assume the 64-bit Linux ABI
@@ -153,32 +153,37 @@ impl Executor for SimExecutor {
     }
 }
 
-/// Execute a single script against a fresh instance of the given simulated
-/// configuration, producing the observed trace.
-pub fn execute_script(profile: &BehaviorProfile, script: &Script, opts: ExecOptions) -> Trace {
-    let _span = obs::span("exec", "execute_script");
-    let started = std::time::Instant::now();
-    let mut sim = SimOs::new(profile.clone());
+/// Run `script` on `world` from a fresh initial process; record its trace.
+fn record(world: &mut impl World, script: &Script, opts: ExecOptions) -> Trace {
     let (uid, gid) = if opts.root_user { (Uid(0), Gid(0)) } else { (Uid(1000), Gid(1000)) };
-    sim.create_process(INITIAL_PID, uid, gid);
+    world.create_process(INITIAL_PID, uid, gid);
 
     let mut trace = Trace::new(script.name.clone(), script.group.clone());
     for step in &script.steps {
         match step {
             ScriptStep::Call { pid, cmd } => {
-                let ret = sim.call(*pid, cmd);
+                let ret = world.call(*pid, cmd);
                 trace.push_call_return(*pid, cmd.clone(), ret);
             }
             ScriptStep::CreateProcess { pid, uid, gid } => {
-                sim.create_process(*pid, *uid, *gid);
+                world.create_process(*pid, *uid, *gid);
                 trace.push_label(OsLabel::Create(*pid, *uid, *gid));
             }
             ScriptStep::DestroyProcess { pid } => {
-                sim.destroy_process(*pid);
+                world.destroy_process(*pid);
                 trace.push_label(OsLabel::Destroy(*pid));
             }
         }
     }
+    trace
+}
+
+/// Execute a single script against a fresh instance of the given simulated
+/// configuration, producing the observed trace.
+pub fn execute_script(profile: &BehaviorProfile, script: &Script, opts: ExecOptions) -> Trace {
+    let _span = obs::span("exec", "execute_script");
+    let started = std::time::Instant::now();
+    let trace = record(&mut SimOs::new(profile.clone()), script, opts);
     obs::m::EXEC_SCRIPTS_TOTAL.inc();
     obs::m::EXEC_SCRIPT_NS.record_duration(started.elapsed());
     trace

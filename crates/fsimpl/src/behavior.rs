@@ -24,9 +24,10 @@ pub enum ReaddirOrder {
 
 /// The externally visible behaviour of one file-system configuration.
 ///
-/// Fields are grouped as: identity, error-code choices, platform conventions,
-/// feature limitations, injected defects (each corresponding to a finding in
-/// §7.3 of the paper), and mount-option effects.
+/// Fields are grouped as: identity, readdir order, feature limitations,
+/// injected defects (each corresponding to a finding in §7.3 of the paper),
+/// and mount-option effects. The error codes and conventions that follow
+/// the platform alone are methods, derived from [`BehaviorProfile::platform`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorProfile {
     /// Configuration name, e.g. `"linux/ext4"`.
@@ -37,32 +38,6 @@ pub struct BehaviorProfile {
     /// Free-text description shown in survey reports.
     pub description: String,
 
-    // --- Error-code choices -------------------------------------------------
-    /// Errno returned when `unlink` is applied to a directory.
-    pub unlink_dir_errno: Errno,
-    /// Errno returned when `rename` targets a non-empty directory.
-    pub rename_nonempty_errno: Errno,
-    /// Errno returned when attempting to rename or remove the root directory.
-    pub rename_root_errno: Errno,
-    /// Errno returned when a path names an existing file but carries a
-    /// trailing slash.
-    pub trailing_slash_file_errno: Errno,
-    /// Errno returned by `open(O_CREAT)` when the final component is missing
-    /// and the path carries a trailing slash.
-    pub open_creat_trailing_slash_errno: Errno,
-
-    // --- Platform conventions ----------------------------------------------
-    /// Whether `link` follows a symlink source (OS X) or links the symlink
-    /// itself (Linux).
-    pub link_follows_symlink: bool,
-    /// Whether `pwrite` on an `O_APPEND` descriptor ignores the offset and
-    /// appends (the Linux convention, §7.3.3).
-    pub pwrite_append_ignores_offset: bool,
-    /// The mode bits reported for symlinks.
-    pub symlink_mode: u32,
-    /// Whether a zero-length `write` on a bad descriptor returns 0 rather
-    /// than `EBADF`.
-    pub zero_write_bad_fd_returns_zero: bool,
     /// `readdir` ordering.
     pub readdir_order: ReaddirOrder,
 
@@ -130,20 +105,10 @@ impl BehaviorProfile {
     /// A well-behaved baseline for the given platform, from which the named
     /// configurations are derived by overriding individual fields.
     pub fn baseline(name: &str, platform: Flavor) -> BehaviorProfile {
-        let linux = platform == Flavor::Linux;
         BehaviorProfile {
             name: name.to_string(),
             platform,
             description: String::new(),
-            unlink_dir_errno: if linux { Errno::EISDIR } else { Errno::EPERM },
-            rename_nonempty_errno: Errno::ENOTEMPTY,
-            rename_root_errno: if platform == Flavor::Mac { Errno::EISDIR } else { Errno::EBUSY },
-            trailing_slash_file_errno: Errno::ENOTDIR,
-            open_creat_trailing_slash_errno: if linux { Errno::EISDIR } else { Errno::ENOENT },
-            link_follows_symlink: !linux,
-            pwrite_append_ignores_offset: linux,
-            symlink_mode: if linux { 0o777 } else { 0o755 },
-            zero_write_bad_fd_returns_zero: linux,
             readdir_order: ReaddirOrder::Sorted,
             supports_dir_nlink: true,
             supports_file_nlink: true,
@@ -161,6 +126,53 @@ impl BehaviorProfile {
             umask_ignored: false,
             capacity_bytes: None,
         }
+    }
+
+    /// Errno returned when `unlink` is applied to a directory.
+    pub fn unlink_dir_errno(&self) -> Errno {
+        match self.platform {
+            Flavor::Linux => Errno::EISDIR,
+            _ => Errno::EPERM,
+        }
+    }
+
+    /// Errno returned when attempting to rename or remove the root directory.
+    pub fn rename_root_errno(&self) -> Errno {
+        match self.platform {
+            Flavor::Mac => Errno::EISDIR,
+            _ => Errno::EBUSY,
+        }
+    }
+
+    /// Errno of `open(O_CREAT)` on a missing name with a trailing slash.
+    pub fn open_creat_trailing_slash_errno(&self) -> Errno {
+        match self.platform {
+            Flavor::Linux => Errno::EISDIR,
+            _ => Errno::ENOENT,
+        }
+    }
+
+    /// Whether `link` follows a symlink source (not on Linux).
+    pub fn link_follows_symlink(&self) -> bool {
+        self.platform != Flavor::Linux
+    }
+
+    /// Whether `pwrite` with `O_APPEND` appends (the Linux convention, §7.3.3).
+    pub fn pwrite_append_ignores_offset(&self) -> bool {
+        self.platform == Flavor::Linux
+    }
+
+    /// The mode bits reported for symlinks.
+    pub fn symlink_mode(&self) -> u32 {
+        match self.platform {
+            Flavor::Linux => 0o777,
+            _ => 0o755,
+        }
+    }
+
+    /// Whether a zero-length `write` on a bad descriptor returns 0, not EBADF.
+    pub fn zero_write_bad_fd_returns_zero(&self) -> bool {
+        self.platform == Flavor::Linux
     }
 
     /// Set the human-readable description (builder style).
@@ -188,16 +200,16 @@ mod tests {
     #[test]
     fn baseline_matches_platform_conventions() {
         let linux = BehaviorProfile::baseline("linux/test", Flavor::Linux);
-        assert_eq!(linux.unlink_dir_errno, Errno::EISDIR);
-        assert!(linux.pwrite_append_ignores_offset);
-        assert_eq!(linux.symlink_mode, 0o777);
-        assert!(!linux.link_follows_symlink);
+        assert_eq!(linux.unlink_dir_errno(), Errno::EISDIR);
+        assert!(linux.pwrite_append_ignores_offset());
+        assert_eq!(linux.symlink_mode(), 0o777);
+        assert!(!linux.link_follows_symlink());
 
         let mac = BehaviorProfile::baseline("mac/test", Flavor::Mac);
-        assert_eq!(mac.unlink_dir_errno, Errno::EPERM);
-        assert!(!mac.pwrite_append_ignores_offset);
-        assert_eq!(mac.rename_root_errno, Errno::EISDIR);
-        assert!(mac.link_follows_symlink);
+        assert_eq!(mac.unlink_dir_errno(), Errno::EPERM);
+        assert!(!mac.pwrite_append_ignores_offset());
+        assert_eq!(mac.rename_root_errno(), Errno::EISDIR);
+        assert!(mac.link_follows_symlink());
     }
 
     #[test]

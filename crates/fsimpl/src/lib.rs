@@ -22,7 +22,7 @@
 //! `O_CREAT|O_DIRECTORY` envelope) were corrected by exactly this comparison.
 //!
 //! ```
-//! use sibylfs_fsimpl::{configs, SimOs};
+//! use sibylfs_fsimpl::{configs, SimOs, World};
 //! use sibylfs_core::prelude::*;
 //!
 //! let mut sim = SimOs::new(configs::by_name("linux/ext4").unwrap());
@@ -38,4 +38,4 @@ pub mod simos;
 
 pub use behavior::{BehaviorProfile, ReaddirOrder};
 pub use memfs::{Ino, MemFs, NodeKind, NodeMeta, SimRes};
-pub use simos::{SimDh, SimFd, SimOs, SimProc};
+pub use simos::{SimDh, SimFd, SimOs, SimProc, World};

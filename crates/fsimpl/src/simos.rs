@@ -20,6 +20,17 @@ use sibylfs_core::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid, MAX_FILE_SIZ
 use crate::behavior::{BehaviorProfile, ReaddirOrder};
 use crate::memfs::{Ino, MemFs, NodeKind, NodeMeta, SimRes};
 
+/// What a test script runs against: the simulation or a real kernel and
+/// file system. The executors record a trace over any of them.
+pub trait World {
+    /// Create a process with the given credentials (cwd starts at the root).
+    fn create_process(&mut self, pid: Pid, uid: Uid, gid: Gid);
+    /// Destroy a process, closing everything it had open.
+    fn destroy_process(&mut self, pid: Pid);
+    /// Make one libc call as `pid`, returning what the system reports.
+    fn call(&mut self, pid: Pid, cmd: &OsCommand) -> ErrorOrValue;
+}
+
 /// A per-process open file descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimFd {
@@ -99,32 +110,59 @@ pub struct SimOs {
     groups: BTreeMap<u32, BTreeSet<u32>>,
 }
 
+impl World for SimOs {
+    fn create_process(&mut self, pid: Pid, uid: Uid, gid: Gid) {
+        let root = self.fs.root();
+        self.procs.insert(pid.0, SimProc::new(root, uid.0, gid.0));
+    }
+
+    fn destroy_process(&mut self, pid: Pid) {
+        self.procs.remove(&pid.0);
+    }
+
+    fn call(&mut self, pid: Pid, cmd: &OsCommand) -> ErrorOrValue {
+        if !self.procs.contains_key(&pid.0) {
+            return ErrorOrValue::Error(Errno::EINVAL);
+        }
+        match cmd {
+            OsCommand::Mkdir(path, mode) => self.do_mkdir(pid, path, mode.bits()),
+            OsCommand::Rmdir(path) => self.do_rmdir(pid, path),
+            OsCommand::Chdir(path) => self.do_chdir(pid, path),
+            OsCommand::Unlink(path) => self.do_unlink(pid, path),
+            OsCommand::Truncate(path, len) => self.do_truncate(pid, path, *len),
+            OsCommand::Stat(path) => self.do_stat(pid, path, true),
+            OsCommand::Lstat(path) => self.do_stat(pid, path, false),
+            OsCommand::Link(src, dst) => self.do_link(pid, src, dst),
+            OsCommand::Symlink(target, path) => self.do_symlink(pid, target, path),
+            OsCommand::Readlink(path) => self.do_readlink(pid, path),
+            OsCommand::Rename(src, dst) => self.do_rename(pid, src, dst),
+            OsCommand::Open(path, flags, mode) => self.do_open(pid, path, *flags, *mode),
+            OsCommand::Close(fd) => self.do_close(pid, *fd),
+            OsCommand::Lseek(fd, off, whence) => self.do_lseek(pid, *fd, *off, *whence),
+            OsCommand::Read(fd, count) => self.do_read(pid, *fd, *count, None),
+            OsCommand::Pread(fd, count, off) => self.do_read(pid, *fd, *count, Some(*off)),
+            OsCommand::Write(fd, data) => self.do_write(pid, *fd, data, None),
+            OsCommand::Pwrite(fd, data, off) => self.do_write(pid, *fd, data, Some(*off)),
+            OsCommand::Chmod(path, mode) => self.do_chmod(pid, path, mode.bits()),
+            OsCommand::Chown(path, uid, gid) => self.do_chown(pid, path, uid.0, gid.0),
+            OsCommand::Umask(mask) => self.do_umask(pid, mask.bits()),
+            OsCommand::AddUserToGroup(uid, gid) => {
+                self.groups.entry(gid.0).or_default().insert(uid.0);
+                ErrorOrValue::Value(RetValue::None)
+            }
+            OsCommand::Opendir(path) => self.do_opendir(pid, path),
+            OsCommand::Readdir(dh) => self.do_readdir(pid, *dh),
+            OsCommand::Rewinddir(dh) => self.do_rewinddir(pid, *dh),
+            OsCommand::Closedir(dh) => self.do_closedir(pid, *dh),
+        }
+    }
+}
+
 impl SimOs {
     /// Create a fresh system with the given behaviour profile and no
     /// processes.
     pub fn new(profile: BehaviorProfile) -> SimOs {
         SimOs { profile, fs: MemFs::new(), procs: BTreeMap::new(), groups: BTreeMap::new() }
-    }
-
-    /// Create a process with the given credentials (cwd starts at the root).
-    pub fn create_process(&mut self, pid: Pid, uid: Uid, gid: Gid) {
-        let root = self.fs.root();
-        self.procs.insert(pid.0, SimProc::new(root, uid.0, gid.0));
-    }
-
-    /// Destroy a process, closing everything it had open.
-    pub fn destroy_process(&mut self, pid: Pid) {
-        self.procs.remove(&pid.0);
-    }
-
-    /// Whether a process exists.
-    pub fn has_process(&self, pid: Pid) -> bool {
-        self.procs.contains_key(&pid.0)
-    }
-
-    /// Access the per-process state (for tests and the executor).
-    pub fn proc(&self, pid: Pid) -> Option<&SimProc> {
-        self.procs.get(&pid.0)
     }
 
     fn proc_mut(&mut self, pid: Pid) -> Option<&mut SimProc> {
@@ -219,7 +257,7 @@ impl SimOs {
                 kind: FileKind::Symlink,
                 size: target.raw_len() as u64,
                 nlink: if self.profile.supports_file_nlink { node.nlink } else { 1 },
-                mode: FileMode::new(self.profile.symlink_mode),
+                mode: FileMode::new(self.profile.symlink_mode()),
                 uid: Uid(node.meta.uid),
                 gid: Gid(node.meta.gid),
             },
@@ -239,45 +277,6 @@ impl SimOs {
                 e.sort_by_key(|(_, seq)| *seq);
                 e.into_iter().map(|(n, _)| n).collect()
             }
-        }
-    }
-
-    /// Execute one libc call on behalf of `pid`, returning what the real
-    /// system reports.
-    pub fn call(&mut self, pid: Pid, cmd: &OsCommand) -> ErrorOrValue {
-        if !self.has_process(pid) {
-            return ErrorOrValue::Error(Errno::EINVAL);
-        }
-        match cmd {
-            OsCommand::Mkdir(path, mode) => self.do_mkdir(pid, path, mode.bits()),
-            OsCommand::Rmdir(path) => self.do_rmdir(pid, path),
-            OsCommand::Chdir(path) => self.do_chdir(pid, path),
-            OsCommand::Unlink(path) => self.do_unlink(pid, path),
-            OsCommand::Truncate(path, len) => self.do_truncate(pid, path, *len),
-            OsCommand::Stat(path) => self.do_stat(pid, path, true),
-            OsCommand::Lstat(path) => self.do_stat(pid, path, false),
-            OsCommand::Link(src, dst) => self.do_link(pid, src, dst),
-            OsCommand::Symlink(target, path) => self.do_symlink(pid, target, path),
-            OsCommand::Readlink(path) => self.do_readlink(pid, path),
-            OsCommand::Rename(src, dst) => self.do_rename(pid, src, dst),
-            OsCommand::Open(path, flags, mode) => self.do_open(pid, path, *flags, *mode),
-            OsCommand::Close(fd) => self.do_close(pid, *fd),
-            OsCommand::Lseek(fd, off, whence) => self.do_lseek(pid, *fd, *off, *whence),
-            OsCommand::Read(fd, count) => self.do_read(pid, *fd, *count, None),
-            OsCommand::Pread(fd, count, off) => self.do_read(pid, *fd, *count, Some(*off)),
-            OsCommand::Write(fd, data) => self.do_write(pid, *fd, data, None),
-            OsCommand::Pwrite(fd, data, off) => self.do_write(pid, *fd, data, Some(*off)),
-            OsCommand::Chmod(path, mode) => self.do_chmod(pid, path, mode.bits()),
-            OsCommand::Chown(path, uid, gid) => self.do_chown(pid, path, uid.0, gid.0),
-            OsCommand::Umask(mask) => self.do_umask(pid, mask.bits()),
-            OsCommand::AddUserToGroup(uid, gid) => {
-                self.groups.entry(gid.0).or_default().insert(uid.0);
-                ErrorOrValue::Value(RetValue::None)
-            }
-            OsCommand::Opendir(path) => self.do_opendir(pid, path),
-            OsCommand::Readdir(dh) => self.do_readdir(pid, *dh),
-            OsCommand::Rewinddir(dh) => self.do_rewinddir(pid, *dh),
-            OsCommand::Closedir(dh) => self.do_closedir(pid, *dh),
         }
     }
 
@@ -341,7 +340,7 @@ impl SimOs {
                     return ErrorOrValue::Error(Errno::EBUSY);
                 };
                 if !self.fs.dir_is_empty(ino) {
-                    return ErrorOrValue::Error(self.profile.rename_nonempty_errno);
+                    return ErrorOrValue::Error(Errno::ENOTEMPTY);
                 }
                 if let Err(e) = self.check_dir_writable(&proc, pdir) {
                     return ErrorOrValue::Error(e);
@@ -376,10 +375,10 @@ impl SimOs {
         match self.resolve(pid, path, false) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Missing { .. } => ErrorOrValue::Error(Errno::ENOENT),
-            SimRes::Dir { .. } => ErrorOrValue::Error(self.profile.unlink_dir_errno),
+            SimRes::Dir { .. } => ErrorOrValue::Error(self.profile.unlink_dir_errno()),
             SimRes::NonDir { parent, name, trailing_slash, .. } => {
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 if let Err(e) = self.check_dir_writable(&proc, parent) {
                     return ErrorOrValue::Error(e);
@@ -401,7 +400,7 @@ impl SimOs {
             SimRes::Dir { .. } => ErrorOrValue::Error(Errno::EISDIR),
             SimRes::NonDir { ino, trailing_slash, .. } => {
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 let meta = self.node_meta(ino);
                 if !self.allowed(&proc, &meta, Want::Write) {
@@ -456,7 +455,7 @@ impl SimOs {
                 }
             }
         }
-        let src_res = if self.profile.link_follows_symlink {
+        let src_res = if self.profile.link_follows_symlink() {
             self.resolve(pid, src, true)
         } else {
             src_nofollow
@@ -467,7 +466,7 @@ impl SimOs {
             SimRes::Dir { .. } => return ErrorOrValue::Error(Errno::EPERM),
             SimRes::NonDir { ino, trailing_slash, .. } => {
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 ino
             }
@@ -479,7 +478,7 @@ impl SimOs {
                 if trailing_slash {
                     // The Linux quirk surveyed in §7.3.2: the existence check
                     // fires before the trailing slash is noticed.
-                    ErrorOrValue::Error(self.profile.trailing_slash_file_errno)
+                    ErrorOrValue::Error(Errno::ENOTDIR)
                 } else {
                     ErrorOrValue::Error(Errno::EEXIST)
                 }
@@ -516,7 +515,7 @@ impl SimOs {
                     return ErrorOrValue::Error(e);
                 }
                 let (uid, gid) = self.creation_owner(&proc);
-                let meta = NodeMeta { mode: self.profile.symlink_mode, uid, gid };
+                let meta = NodeMeta { mode: self.profile.symlink_mode(), uid, gid };
                 self.fs.create(parent, name, NodeKind::Symlink { target: target.clone() }, meta);
                 ErrorOrValue::Value(RetValue::None)
             }
@@ -567,7 +566,7 @@ impl SimOs {
             SimRes::Missing { .. } => ErrorOrValue::Error(Errno::ENOENT),
             SimRes::Dir { ino: sd, parent: sparent } => {
                 if sd == self.fs.root() {
-                    return ErrorOrValue::Error(self.profile.rename_root_errno);
+                    return ErrorOrValue::Error(self.profile.rename_root_errno());
                 }
                 let Some((sp, sname)) = sparent else {
                     return ErrorOrValue::Error(Errno::EINVAL);
@@ -577,7 +576,7 @@ impl SimOs {
                     SimRes::NonDir { .. } => ErrorOrValue::Error(Errno::ENOTDIR),
                     SimRes::Dir { ino: dd, parent: dparent } => {
                         if dd == self.fs.root() {
-                            return ErrorOrValue::Error(self.profile.rename_root_errno);
+                            return ErrorOrValue::Error(self.profile.rename_root_errno());
                         }
                         if self.fs.is_same_or_ancestor(sd, dd) {
                             return ErrorOrValue::Error(Errno::EINVAL);
@@ -586,7 +585,7 @@ impl SimOs {
                             let e = if self.profile.rename_nonempty_eperm {
                                 Errno::EPERM
                             } else {
-                                self.profile.rename_nonempty_errno
+                                Errno::ENOTEMPTY
                             };
                             return ErrorOrValue::Error(e);
                         }
@@ -630,14 +629,14 @@ impl SimOs {
             }
             SimRes::NonDir { parent: sp, name: sname, ino: sino, trailing_slash } => {
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 match dst_res {
                     SimRes::Error(e) => ErrorOrValue::Error(e),
                     SimRes::Dir { .. } => ErrorOrValue::Error(Errno::EISDIR),
                     SimRes::NonDir { parent: dp, name: dname, trailing_slash: dts, .. } => {
                         if dts {
-                            return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                            return ErrorOrValue::Error(Errno::ENOTDIR);
                         }
                         if let Err(e) = self
                             .check_dir_writable(&proc, sp)
@@ -751,7 +750,7 @@ impl SimOs {
                     return ErrorOrValue::Error(Errno::EEXIST);
                 }
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 let meta = self.node_meta(ino);
                 if access.readable() && !self.allowed(&proc, &meta, Want::Read) {
@@ -770,7 +769,7 @@ impl SimOs {
                     return ErrorOrValue::Error(Errno::ENOENT);
                 }
                 if trailing_slash {
-                    return ErrorOrValue::Error(self.profile.open_creat_trailing_slash_errno);
+                    return ErrorOrValue::Error(self.profile.open_creat_trailing_slash_errno());
                 }
                 if !self.fs.is_connected(parent) && !self.profile.create_in_deleted_cwd_succeeds {
                     return ErrorOrValue::Error(Errno::ENOENT);
@@ -864,7 +863,7 @@ impl SimOs {
     fn do_write(&mut self, pid: Pid, fd: Fd, data: &[u8], offset: Option<i64>) -> ErrorOrValue {
         let entry = self.procs.get(&pid.0).and_then(|p| p.fds.get(&fd.0)).cloned();
         let Some(entry) = entry else {
-            if data.is_empty() && self.profile.zero_write_bad_fd_returns_zero {
+            if data.is_empty() && self.profile.zero_write_bad_fd_returns_zero() {
                 return ErrorOrValue::Value(RetValue::Num(0));
             }
             return ErrorOrValue::Error(Errno::EBADF);
@@ -887,7 +886,7 @@ impl SimOs {
         let append = entry.flags.contains(OpenFlags::O_APPEND) && !self.profile.o_append_ignored;
         let pos = match offset {
             Some(off) => {
-                if append && self.profile.pwrite_append_ignores_offset {
+                if append && self.profile.pwrite_append_ignores_offset() {
                     self.fs.file_size(entry.ino)
                 } else {
                     off as u64
@@ -937,7 +936,7 @@ impl SimOs {
                 // POSIX path resolution: trailing slash on a non-directory.
                 let is_symlink = self.fs.node(ino).map(|n| n.is_symlink()).unwrap_or(false);
                 if trailing_slash && !is_symlink {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 ino
             }
@@ -961,7 +960,7 @@ impl SimOs {
             SimRes::NonDir { ino, trailing_slash, .. } => {
                 let is_symlink = self.fs.node(ino).map(|n| n.is_symlink()).unwrap_or(false);
                 if trailing_slash && !is_symlink {
-                    return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
+                    return ErrorOrValue::Error(Errno::ENOTDIR);
                 }
                 ino
             }

@@ -16,9 +16,13 @@
 //! rename "emptydir" "nonemptydir"
 //! ```
 //!
-//! and for traces every call line is followed by the observed return value
-//! (`RV_none`, `RV_num(3)`, an errno name, …). Multi-process scripts prefix
-//! lines with `[p2]` and use `@process create`/`@process destroy` directives.
+//! Multi-process scripts prefix lines with `[p2]` and use `@process
+//! create`/`@process destroy` directives. A trace numbers its call lines and
+//! puts each return value (`RV_none`, `RV_num(3)`, an errno name, …) on a
+//! line of its own: bare when it directly follows its own call, tagged
+//! `[pN]` otherwise, so calls from several processes may overlap. Which call
+//! a step belongs to is a fact of the trace, named by [`Trace::call_of`] for
+//! the checker's diagnostics and coverage alike.
 
 pub mod parse;
 pub mod print;
@@ -76,8 +80,7 @@ impl Script {
 
     /// Append a call by the default process.
     pub fn call(&mut self, cmd: OsCommand) -> &mut Self {
-        self.steps.push(ScriptStep::Call { pid: INITIAL_PID, cmd });
-        self
+        self.call_as(INITIAL_PID, cmd)
     }
 
     /// Append a call by a specific process.
@@ -134,10 +137,8 @@ impl Trace {
 
     /// Append a call/return pair observed for `pid`.
     pub fn push_call_return(&mut self, pid: Pid, cmd: OsCommand, ret: ErrorOrValue) {
-        let lineno = self.steps.len() + 1;
-        self.steps.push(TraceStep { lineno, label: OsLabel::Call(pid, cmd) });
-        let lineno = self.steps.len() + 1;
-        self.steps.push(TraceStep { lineno, label: OsLabel::Return(pid, ret) });
+        self.push_label(OsLabel::Call(pid, cmd));
+        self.push_label(OsLabel::Return(pid, ret));
     }
 
     /// Append a process lifecycle label.
@@ -154,6 +155,17 @@ impl Trace {
     /// The number of call labels (i.e. libc invocations) in the trace.
     pub fn call_count(&self) -> usize {
         self.steps.iter().filter(|s| matches!(s.label, OsLabel::Call(..))).count()
+    }
+
+    /// The call that step `index` belongs to: the latest call by its process
+    /// at or before it, so a call belongs to itself and a return to the call
+    /// it answers. τ and a process with no call yet have none.
+    pub fn call_of(&self, index: usize) -> Option<&OsCommand> {
+        let pid = self.steps[index].label.pid()?;
+        self.steps[..=index].iter().rev().find_map(|s| match &s.label {
+            OsLabel::Call(p, cmd) if *p == pid => Some(cmd),
+            _ => None,
+        })
     }
 }
 
@@ -172,6 +184,25 @@ mod tests {
             .destroy_process(Pid(2));
         assert_eq!(s.call_count(), 2);
         assert_eq!(s.steps.len(), 4);
+    }
+
+    #[test]
+    fn call_of_names_the_latest_call_by_the_steps_process() {
+        let mkdir = OsCommand::Mkdir("/a".into(), FileMode::new(0o777));
+        let stat = OsCommand::Stat("/b".into());
+        let none = ErrorOrValue::Value(RetValue::None);
+        let mut t = Trace::new("t", "t");
+        t.push_label(OsLabel::Create(Pid(2), Uid(0), Gid(0)));
+        t.push_label(OsLabel::Call(INITIAL_PID, mkdir.clone()));
+        t.push_label(OsLabel::Call(Pid(2), stat.clone()));
+        t.push_label(OsLabel::Return(INITIAL_PID, none.clone()));
+        t.push_label(OsLabel::Return(Pid(2), none.clone()));
+        t.push_label(OsLabel::Return(Pid(2), none));
+        assert_eq!(t.call_of(0), None, "p2 has made no call yet");
+        assert_eq!(t.call_of(2), Some(&stat), "a call belongs to itself");
+        assert_eq!(t.call_of(3), Some(&mkdir));
+        assert_eq!(t.call_of(4), Some(&stat));
+        assert_eq!(t.call_of(5), Some(&stat), "a second return still names the latest call");
     }
 
     #[test]

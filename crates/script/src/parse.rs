@@ -1,13 +1,13 @@
 //! Parser for the script and trace text formats.
 //!
 //! The grammar is exactly what [`crate::print`] produces, so parsing and
-//! printing round-trip; the property tests in the workspace `tests/`
-//! directory exercise this.
+//! printing round-trip, overlapping calls included: `tests/round_trip.rs`
+//! and the workspace's `tests/trace_round_trip.rs` check this.
 
 use std::fmt;
 use std::str::FromStr;
 
-use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue, Stat};
+use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue, Stat};
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flags::{FileMode, OpenFlags, SeekWhence};
 use sibylfs_core::types::{DirHandleId, Fd, FileKind, Gid, Pid, Uid, INITIAL_PID};
@@ -238,20 +238,26 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// What `inner` parses, between `open` and `)`.
+    fn delimited<T>(
+        &mut self,
+        open: &str,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.expect(open)?;
+        let value = inner(self)?;
+        self.expect(")")?;
+        Ok(value)
+    }
+
     /// A `(FD n)` form.
     fn fd(&mut self) -> Result<Fd, ParseError> {
-        self.expect("(FD")?;
-        let n = self.int_as::<i32>("file descriptor")?;
-        self.expect(")")?;
-        Ok(Fd(n))
+        self.delimited("(FD", |c| c.int_as("file descriptor")).map(Fd)
     }
 
     /// A `(DH n)` form.
     fn dh(&mut self) -> Result<DirHandleId, ParseError> {
-        self.expect("(DH")?;
-        let n = self.int_as::<i32>("directory handle")?;
-        self.expect(")")?;
-        Ok(DirHandleId(n))
+        self.delimited("(DH", |c| c.int_as("directory handle")).map(DirHandleId)
     }
 
     /// A `[FLAG;FLAG;…]` list.
@@ -367,42 +373,14 @@ fn parse_return_at(text: &str, line: usize, col_base: usize) -> Result<ErrorOrVa
     let head = c.word()?;
     let value = match head {
         "RV_none" => RetValue::None,
-        "RV_num" => {
-            c.expect("(")?;
-            let n = c.int()?;
-            c.expect(")")?;
-            RetValue::Num(n)
-        }
-        "RV_fd" => {
-            c.expect("(")?;
-            let n = c.int_as::<i32>("file descriptor")?;
-            c.expect(")")?;
-            RetValue::Fd(Fd(n))
-        }
+        "RV_num" => RetValue::Num(c.delimited("(", Cursor::int)?),
+        "RV_fd" => RetValue::Fd(Fd(c.delimited("(", |c| c.int_as("file descriptor"))?)),
         "RV_dh" => {
-            c.expect("(")?;
-            let n = c.int_as::<i32>("directory handle")?;
-            c.expect(")")?;
-            RetValue::DirHandle(DirHandleId(n))
+            RetValue::DirHandle(DirHandleId(c.delimited("(", |c| c.int_as("directory handle"))?))
         }
-        "RV_bytes" => {
-            c.expect("(")?;
-            let s = c.quoted()?;
-            c.expect(")")?;
-            RetValue::Bytes(s.into_bytes())
-        }
-        "RV_path" => {
-            c.expect("(")?;
-            let s = c.quoted()?;
-            c.expect(")")?;
-            RetValue::Path(s)
-        }
-        "RV_readdir" => {
-            c.expect("(")?;
-            let s = c.quoted()?;
-            c.expect(")")?;
-            RetValue::ReaddirEntry(Some(s))
-        }
+        "RV_bytes" => RetValue::Bytes(c.delimited("(", Cursor::quoted)?.into_bytes()),
+        "RV_path" => RetValue::Path(c.delimited("(", Cursor::quoted)?),
+        "RV_readdir" => RetValue::ReaddirEntry(Some(c.delimited("(", Cursor::quoted)?)),
         "RV_readdir_end" => RetValue::ReaddirEntry(None),
         "RV_stat" => {
             c.expect("{")?;
@@ -440,41 +418,72 @@ fn parse_return_at(text: &str, line: usize, col_base: usize) -> Result<ErrorOrVa
     Ok(ErrorOrValue::Value(value))
 }
 
-/// Parse an optional `[pN]` process prefix; returns the pid and the rest of
-/// the line.
-fn parse_pid_prefix(text: &str) -> (Pid, &str) {
+/// Parse an optional `[pN]` process prefix; returns the pid, if tagged, and
+/// the rest of the line.
+fn parse_pid_prefix(text: &str) -> (Option<Pid>, &str) {
     let t = text.trim_start();
     if let Some(rest) = t.strip_prefix("[p") {
         if let Some(end) = rest.find(']') {
             if let Ok(n) = rest[..end].parse::<u32>() {
-                return (Pid(n), rest[end + 1..].trim_start());
+                return (Some(Pid(n)), rest[end + 1..].trim_start());
             }
         }
     }
-    (INITIAL_PID, t)
+    (None, t)
 }
 
 fn parse_process_directive(text: &str, line: usize) -> Result<Option<ScriptStep>, ParseError> {
     let Some(rest) = text.trim().strip_prefix("@process ") else {
         return Ok(None);
     };
-    let parts: Vec<&str> = rest.split_whitespace().collect();
-    match parts.as_slice() {
-        ["create", pid, uid, gid] => {
-            let parse =
-                |s: &str| s.parse::<u32>().map_err(|_| ParseError::new(line, "bad number"));
-            Ok(Some(ScriptStep::CreateProcess {
-                pid: Pid(parse(pid)?),
-                uid: Uid(parse(uid)?),
-                gid: Gid(parse(gid)?),
-            }))
-        }
-        ["destroy", pid] => {
-            let pid = pid.parse::<u32>().map_err(|_| ParseError::new(line, "bad pid"))?;
-            Ok(Some(ScriptStep::DestroyProcess { pid: Pid(pid) }))
-        }
+    let num = |s: &str, what| s.parse::<u32>().map_err(|_| ParseError::new(line, what));
+    match rest.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["create", pid, uid, gid] => Ok(Some(ScriptStep::CreateProcess {
+            pid: Pid(num(pid, "bad number")?),
+            uid: Uid(num(uid, "bad number")?),
+            gid: Gid(num(gid, "bad number")?),
+        })),
+        ["destroy", pid] => Ok(Some(ScriptStep::DestroyProcess { pid: Pid(num(pid, "bad pid")?) })),
         _ => Err(ParseError::new(line, format!("bad @process directive: {rest:?}"))),
     }
+}
+
+/// Walk the lines of a file headed `@type {kind}`. Blank lines, the header
+/// and comments are handled here, a `# Test NAME` comment naming the file
+/// and its group; every other line goes to `each` with its number and its
+/// indentation. Returns the name and the group.
+fn parse_lines<'a>(
+    text: &'a str,
+    kind: &str,
+    mut each: impl FnMut(usize, usize, &'a str) -> Result<(), ParseError>,
+) -> Result<(String, String), ParseError> {
+    let (mut name, mut group) = (String::new(), String::new());
+    let mut seen_type = false;
+    for (idx, raw) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let line = raw.trim();
+        if let Some(rest) = line.strip_prefix("@type") {
+            let got = rest.trim();
+            if got != kind {
+                let message = format!("expected '@type {kind}', got {got:?}");
+                return Err(ParseError::new(lineno, message));
+            }
+            seen_type = true;
+        } else if let Some(comment) = line.strip_prefix('#') {
+            if let Some(test) = comment.trim().strip_prefix("Test ") {
+                name = test.trim().to_string();
+                if group.is_empty() {
+                    group = name.split("___").next().unwrap_or("misc").to_string();
+                }
+            }
+        } else if !line.is_empty() {
+            each(lineno, raw.len() - raw.trim_start().len(), line)?;
+        }
+    }
+    if !seen_type {
+        return Err(ParseError::new(1, format!("missing '@type {kind}' header")));
+    }
+    Ok((name, group))
 }
 
 /// Parse a complete script file.
@@ -487,114 +496,62 @@ pub fn parse_script(text: &str) -> Result<Script, ParseError> {
 /// to anchor findings to the file the user actually wrote, where comments
 /// and blank lines shift steps away from `step index + 1`.
 pub fn parse_script_spanned(text: &str) -> Result<(Script, Vec<usize>), ParseError> {
-    let mut script = Script::default();
-    let mut linenos = Vec::new();
-    let mut seen_type = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("@type") {
-            let kind = rest.trim();
-            if kind != "script" {
-                return Err(ParseError::new(lineno, format!("expected '@type script', got {kind:?}")));
+    let (mut steps, mut linenos) = (Vec::new(), Vec::new());
+    let (name, group) = parse_lines(text, "script", |lineno, leading, line| {
+        let step = match parse_process_directive(line, lineno)? {
+            Some(step) => step,
+            None => {
+                let (pid, rest) = parse_pid_prefix(line);
+                let cmd = parse_command_at(rest, lineno, leading + (line.len() - rest.len()))?;
+                ScriptStep::Call { pid: pid.unwrap_or(INITIAL_PID), cmd }
             }
-            seen_type = true;
-            continue;
-        }
-        if let Some(step) = parse_process_directive(line, lineno)? {
-            script.steps.push(step);
-            linenos.push(lineno);
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let comment = comment.trim();
-            if let Some(name) = comment.strip_prefix("Test ") {
-                script.name = name.trim().to_string();
-                if script.group.is_empty() {
-                    script.group =
-                        script.name.split("___").next().unwrap_or("misc").to_string();
-                }
-            }
-            continue;
-        }
-        let leading = raw.len() - raw.trim_start().len();
-        let (pid, rest) = parse_pid_prefix(line);
-        let cmd = parse_command_at(rest, lineno, leading + (line.len() - rest.len()))?;
-        script.steps.push(ScriptStep::Call { pid, cmd });
+        };
+        steps.push(step);
         linenos.push(lineno);
-    }
-    if !seen_type {
-        return Err(ParseError::new(1, "missing '@type script' header"));
-    }
-    Ok((script, linenos))
+        Ok(())
+    })?;
+    Ok((Script { name, group, steps }, linenos))
 }
 
 /// Parse a complete trace file.
+///
+/// A call line starts with its number, `<n>:`. A return line tagged `[pN]`
+/// is pN's return. An untagged one answers the last call line before it,
+/// and is an error if a return line came in between. A tagged return for a
+/// process with no call in flight still parses: the checker, not the
+/// parser, rejects it.
 pub fn parse_trace(text: &str) -> Result<Trace, ParseError> {
     let mut trace = Trace::default();
-    let mut seen_type = false;
     let mut pending_call: Option<Pid> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("@type") {
-            let kind = rest.trim();
-            if kind != "trace" {
-                return Err(ParseError::new(lineno, format!("expected '@type trace', got {kind:?}")));
-            }
-            seen_type = true;
-            continue;
-        }
-        if let Some(step) = parse_process_directive(line, lineno)? {
+    let (name, group) = parse_lines(text, "trace", |lineno, leading, line| {
+        let call = line
+            .split_once(':')
+            .filter(|(n, _)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        let label = if let Some(step) = parse_process_directive(line, lineno)? {
             match step {
-                ScriptStep::CreateProcess { pid, uid, gid } => {
-                    trace.push_label(sibylfs_core::commands::OsLabel::Create(pid, uid, gid));
-                }
-                ScriptStep::DestroyProcess { pid } => {
-                    trace.push_label(sibylfs_core::commands::OsLabel::Destroy(pid));
-                }
+                ScriptStep::CreateProcess { pid, uid, gid } => OsLabel::Create(pid, uid, gid),
+                ScriptStep::DestroyProcess { pid } => OsLabel::Destroy(pid),
                 ScriptStep::Call { .. } => unreachable!("directives never produce calls"),
             }
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let comment = comment.trim();
-            if let Some(name) = comment.strip_prefix("Test ") {
-                trace.name = name.trim().to_string();
-                if trace.group.is_empty() {
-                    trace.group = trace.name.split("___").next().unwrap_or("misc").to_string();
-                }
-            }
-            continue;
-        }
-        let leading = raw.len() - raw.trim_start().len();
-        // A call line starts with "<n>:"; a return line is anything else.
-        if let Some(colon) = line.find(':') {
-            if line[..colon].chars().all(|ch| ch.is_ascii_digit()) && !line[..colon].is_empty() {
-                let rest = &line[colon + 1..];
-                let (pid, rest) = parse_pid_prefix(rest);
-                let cmd = parse_command_at(rest, lineno, leading + (line.len() - rest.len()))?;
-                trace.push_label(sibylfs_core::commands::OsLabel::Call(pid, cmd));
-                pending_call = Some(pid);
-                continue;
-            }
-        }
-        // Return line.
-        let pid = pending_call.take().ok_or_else(|| {
-            ParseError::new(lineno, "return value without a preceding call")
-        })?;
-        let ret = parse_return_at(line, lineno, leading)?;
-        trace.push_label(sibylfs_core::commands::OsLabel::Return(pid, ret));
-    }
-    if !seen_type {
-        return Err(ParseError::new(1, "missing '@type trace' header"));
-    }
+        } else if let Some((_, rest)) = call {
+            let (pid, rest) = parse_pid_prefix(rest);
+            let pid = pid.unwrap_or(INITIAL_PID);
+            pending_call = Some(pid);
+            OsLabel::Call(pid, parse_command_at(rest, lineno, leading + (line.len() - rest.len()))?)
+        } else {
+            let (tag, rest) = parse_pid_prefix(line);
+            let above = pending_call.take();
+            let Some(pid) = tag.or(above) else {
+                return Err(ParseError::new(lineno, "return value without a preceding call"));
+            };
+            let col = leading + (line.len() - rest.len());
+            OsLabel::Return(pid, parse_return_at(rest, lineno, col)?)
+        };
+        trace.push_label(label);
+        Ok(())
+    })?;
+    trace.name = name;
+    trace.group = group;
     Ok(trace)
 }
 
@@ -804,6 +761,23 @@ add_user_to_group 1000 1000
         assert!(parse_command(r#"chown "/f" 4294967295 0"#, 1).is_ok());
         assert!(parse_command("lseek (FD 3) -10 SEEK_END", 1).is_ok(), "signed offsets stay legal");
         assert!(parse_return("RV_fd(-1)", 1).is_ok(), "RV_fd(-1) is a legal sentinel");
+    }
+
+    #[test]
+    fn tagged_returns_bind_to_their_process() {
+        // A tagged return for a process with no call in flight parses; the
+        // checker, not the parser, rejects it.
+        let t = parse_trace("@type trace\n1: mkdir \"/a\" 0o777\nRV_none\n[p3] RV_none\n").unwrap();
+        assert_eq!(t.steps[2].label, OsLabel::Return(Pid(3), ErrorOrValue::Value(RetValue::None)));
+        // An untagged return answers the last call only if no return came since.
+        let err = parse_trace("@type trace\n1: [p2] mkdir \"/a\" 0o777\n[p1] RV_none\nRV_none\n")
+            .unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (4, "return value without a preceding call"));
+        // Error columns count the tag.
+        let trace = "@type trace\n1: stat \"/f\"\n[p2] RV_fd(4294967296)\n";
+        let err = parse_trace(trace).unwrap_err();
+        let raw_line = trace.lines().nth(2).unwrap();
+        assert_eq!(&raw_line[err.col - 1..err.col + 1], "42", "col {} in {raw_line:?}", err.col);
     }
 
     #[test]

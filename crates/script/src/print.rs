@@ -2,7 +2,8 @@
 //!
 //! Commands and return values print via their `Display` implementations in
 //! `sibylfs-core`; this module adds the file-level framing (`@type` headers,
-//! `# Test` names, process prefixes and directives, line numbers).
+//! `# Test` names, process prefixes and directives, line numbers, and the
+//! `[pN]` tag on a return that does not directly follow its own call).
 
 use std::fmt::Write as _;
 
@@ -21,11 +22,10 @@ pub fn render_script(script: &Script) -> String {
     for step in &script.steps {
         match step {
             ScriptStep::Call { pid, cmd } => {
-                if *pid == INITIAL_PID {
-                    let _ = writeln!(out, "{cmd}");
-                } else {
-                    let _ = writeln!(out, "[p{}] {cmd}", pid.0);
+                if *pid != INITIAL_PID {
+                    let _ = write!(out, "[p{}] ", pid.0);
                 }
+                let _ = writeln!(out, "{cmd}");
             }
             ScriptStep::CreateProcess { pid, uid, gid } => {
                 let _ = writeln!(out, "@process create {} {} {}", pid.0, uid.0, gid.0);
@@ -39,24 +39,29 @@ pub fn render_script(script: &Script) -> String {
 }
 
 /// Render a trace to its text form. Call lines are numbered by their position
-/// in the trace (as in Fig. 3 of the paper); return values follow on the next
-/// line.
+/// in the trace (as in Fig. 3 of the paper). A return value directly after
+/// its own call prints bare; any other return carries its process's `[pN]`
+/// tag, so overlapping calls survive the round trip.
 pub fn render_trace(trace: &Trace) -> String {
     let mut out = String::new();
     out.push_str("@type trace\n");
     if !trace.name.is_empty() {
         let _ = writeln!(out, "# Test {}", trace.name);
     }
+    let mut prev: Option<&OsLabel> = None;
     for step in &trace.steps {
         match &step.label {
             OsLabel::Call(pid, cmd) => {
-                if *pid == INITIAL_PID {
-                    let _ = writeln!(out, "{}: {cmd}", step.lineno);
-                } else {
-                    let _ = writeln!(out, "{}: [p{}] {cmd}", step.lineno, pid.0);
+                let _ = write!(out, "{}: ", step.lineno);
+                if *pid != INITIAL_PID {
+                    let _ = write!(out, "[p{}] ", pid.0);
                 }
+                let _ = writeln!(out, "{cmd}");
             }
-            OsLabel::Return(_, ret) => {
+            OsLabel::Return(pid, ret) => {
+                if !matches!(prev, Some(OsLabel::Call(p, _)) if p == pid) {
+                    let _ = write!(out, "[p{}] ", pid.0);
+                }
                 let _ = writeln!(out, "{ret}");
             }
             OsLabel::Create(pid, uid, gid) => {
@@ -69,6 +74,7 @@ pub fn render_trace(trace: &Trace) -> String {
                 // τ events are internal and never appear in recorded traces.
             }
         }
+        prev = Some(&step.label);
     }
     out
 }
@@ -125,6 +131,26 @@ mod tests {
         let expected: Vec<_> = t.labels().cloned().collect();
         let actual: Vec<_> = parsed.labels().cloned().collect();
         assert_eq!(expected, actual);
+    }
+
+    #[test]
+    fn overlapping_calls_round_trip_with_tagged_returns() {
+        let mkdir = |p: &str| OsCommand::Mkdir(p.into(), FileMode::new(0o777));
+        let none = ErrorOrValue::Value(RetValue::None);
+        let mut t = Trace::new("concurrency___overlap", "concurrency");
+        t.push_label(OsLabel::Create(Pid(2), Uid(0), Gid(0)));
+        t.push_label(OsLabel::Call(INITIAL_PID, mkdir("/a")));
+        t.push_label(OsLabel::Call(Pid(2), mkdir("/b")));
+        t.push_label(OsLabel::Return(Pid(2), none.clone()));
+        t.push_label(OsLabel::Return(INITIAL_PID, none));
+        let text = render_trace(&t);
+        // Only the return that does not directly follow its own call is tagged.
+        assert_eq!(
+            text,
+            "@type trace\n# Test concurrency___overlap\n@process create 2 0 0\n\
+             2: mkdir \"/a\" 0o777\n3: [p2] mkdir \"/b\" 0o777\nRV_none\n[p1] RV_none\n"
+        );
+        assert_eq!(parse_trace(&text).unwrap(), t);
     }
 
     #[test]

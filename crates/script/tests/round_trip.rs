@@ -10,7 +10,7 @@ use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 use proptest::strategy::Union;
 
-use sibylfs_core::commands::{ErrorOrValue, OsCommand, RetValue, Stat};
+use sibylfs_core::commands::{ErrorOrValue, OsCommand, OsLabel, RetValue, Stat};
 use sibylfs_core::path::ParsedPath;
 use sibylfs_core::errno::Errno;
 use sibylfs_core::flags::{FileMode, OpenFlags, SeekWhence};
@@ -187,12 +187,25 @@ fn script_strategy() -> BoxedStrategy<Script> {
     .boxed()
 }
 
+/// Traces whose labels come in any order: calls from several processes
+/// overlap, and returns may follow another process's call, a lifecycle
+/// label, or no call at all.
 fn trace_strategy() -> BoxedStrategy<Trace> {
-    prop_vec((0u32..4, command_strategy(), ret_strategy()), 0..10)
-        .prop_map(|triples| {
+    let label = Union::new(vec![
+        (0u32..4, command_strategy())
+            .prop_map(|(pid, cmd)| OsLabel::Call(Pid(pid + 1), cmd))
+            .boxed(),
+        (0u32..4, ret_strategy()).prop_map(|(pid, ret)| OsLabel::Return(Pid(pid + 1), ret)).boxed(),
+        (2u32..6, 0u32..5000, 0u32..5000)
+            .prop_map(|(pid, uid, gid)| OsLabel::Create(Pid(pid), Uid(uid), Gid(gid)))
+            .boxed(),
+        (2u32..6).prop_map(|pid| OsLabel::Destroy(Pid(pid))).boxed(),
+    ]);
+    prop_vec(label, 0..16)
+        .prop_map(|labels| {
             let mut t = Trace::new("prop___trace", "prop");
-            for (pid, cmd, ret) in triples {
-                t.push_call_return(Pid(pid + 1), cmd, ret);
+            for label in labels {
+                t.push_label(label);
             }
             t
         })
@@ -251,16 +264,14 @@ proptest! {
         prop_assert_eq!(script, reparsed);
     }
 
-    /// Whole traces round-trip at the label level (line numbers are
-    /// regenerated by the parser).
+    /// Whole traces round-trip: `parse(render(t)) == t`, labels and line
+    /// numbers alike.
     #[test]
     fn trace_round_trips(trace in trace_strategy()) {
         let text = render_trace(&trace);
         let reparsed = parse_trace(&text)
             .unwrap_or_else(|e| panic!("parse rendered trace: {e}\n{text}"));
-        let expected: Vec<_> = trace.labels().cloned().collect();
-        let actual: Vec<_> = reparsed.labels().cloned().collect();
-        prop_assert_eq!(expected, actual);
+        prop_assert_eq!(trace, reparsed);
     }
 }
 

@@ -3,9 +3,10 @@
 //! Builds a deterministic trace corpus (testgen's loadgen families executed
 //! on the simulated ext4 backend), then drives a server with N concurrent
 //! pipelined clients and reports checked-traces/sec plus latency percentiles
-//! per client count. With `--verify`, every server verdict is compared
-//! byte-for-byte against local batch checking — the CI smoke job runs this at
-//! high client counts to pin "the server is the same oracle as the CLI".
+//! per client count. With `--verify`, the server checks the corpus plus the
+//! contention traces at 3–6 processes, and every verdict must equal local
+//! batch checking byte for byte — the CI smoke job runs this at high client
+//! counts to pin "the server is the same oracle as the CLI".
 //!
 //! Results go to stdout and to `SIBYLFS_BENCH_JSON` (same record grammar as
 //! the bench harness, so `sibylfs bench-diff` gates the `serve_loadgen/…`
@@ -22,6 +23,7 @@ use sibylfs_fsimpl::configs;
 use sibylfs_script::print::render_trace;
 use sibylfs_serve::protocol::parse_spec_config;
 use sibylfs_serve::{BlockingClient, Response, ServeOptions};
+use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 use sibylfs_testgen::{loadgen_scripts, LoadgenOptions};
 
 const USAGE: &str = "\
@@ -37,7 +39,8 @@ options:
   --scripts N        corpus size (default 64)
   --window W         per-client pipelining window (default 8)
   --workers N        checker workers for the in-process server (default 4)
-  --verify           compare every verdict against local batch checking
+  --verify           compare every verdict against local batch checking, over
+                     the corpus plus the contention traces at 3-6 processes
   --trace-out FILE   record spans and write Chrome trace-event JSON
   -h, --help         show this help
 
@@ -353,7 +356,10 @@ fn main() {
     };
 
     if args.verify {
-        if let Err(e) = verify_against_batch(&addr, &args.config, &corpus) {
+        let contention = (3..=6).flat_map(|p| contention_traces(ContentionOptions::new(p, 2)));
+        let verified: Vec<String> =
+            corpus.iter().cloned().chain(contention.map(|t| render_trace(&t))).collect();
+        if let Err(e) = verify_against_batch(&addr, &args.config, &verified) {
             eprintln!("VERIFY FAILED: {e}");
             std::process::exit(1);
         }

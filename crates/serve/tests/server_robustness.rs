@@ -16,6 +16,7 @@ use sibylfs_serve::protocol::{
     encode_request, parse_spec_config, read_frame, write_frame, Request, MAX_FRAME_LEN,
 };
 use sibylfs_serve::{start, BlockingClient, Response, ServeOptions};
+use sibylfs_testgen::contention::{contention_traces, ContentionOptions};
 use sibylfs_testgen::{loadgen_scripts, LoadgenOptions};
 
 fn corpus(n: usize) -> Vec<String> {
@@ -49,6 +50,23 @@ fn verdicts_match_batch_checking_bit_for_bit() {
         ));
         assert_eq!(remote, local);
         assert!(remote.contains("# Verdict: accepted"), "loadgen corpus must check cleanly");
+    }
+}
+
+/// Multi-process traces, whose calls from several processes overlap, ride
+/// the wire like any other: the contention families at 3–6 processes get
+/// verdicts bit-identical to batch checking, all accepted.
+#[test]
+fn contention_traces_match_batch_checking_bit_for_bit() {
+    let server = start(ServeOptions::default()).unwrap();
+    let cfg = parse_spec_config("linux").unwrap();
+    let mut client = BlockingClient::connect_tcp(server.addr()).unwrap();
+    for trace in (3..=6).flat_map(|p| contention_traces(ContentionOptions::new(p, 2))) {
+        let resp = client.check("linux", &render_trace(&trace)).unwrap();
+        let Response::Verdict(remote) = resp else { panic!("{}: got {resp:?}", trace.name) };
+        let local = render_checked_trace(&check_trace(&cfg, &trace, CheckOptions::default()));
+        assert_eq!(remote, local, "{}", trace.name);
+        assert!(remote.contains("# Verdict: accepted"), "{remote}");
     }
 }
 

@@ -64,7 +64,7 @@ pub mod prelude {
     };
     pub use sibylfs_core::prelude::*;
     pub use sibylfs_exec::{execute_script, execute_suite, ExecOptions, SimExecutor};
-    pub use sibylfs_fsimpl::{configs, BehaviorProfile, SimOs};
+    pub use sibylfs_fsimpl::{configs, BehaviorProfile, SimOs, World};
     pub use sibylfs_report::{merge_runs, render_merged_markdown, render_run_markdown, summarize_run};
     pub use sibylfs_script::{parse_script, parse_trace, render_script, render_trace, Script, Trace};
     pub use sibylfs_testgen::{generate_suite, summarize_suite, SuiteOptions};
