@@ -15,10 +15,16 @@
 //! The loop state is just the tracked set (a core `TrackedSet`: the states
 //! plus the partial-order reduction's bookkeeping); a deviation names its
 //! call through [`Trace::call_of`], which reads only the labels up to it. A
-//! snapshot, taken after each label, holds the tracked set, the label with
-//! its line number, which is what the next trace is matched against, and how
-//! many `CheckedStep`s and `Deviation`s the trace had recorded by then, so
-//! the prefix's verdicts are reused without rerunning.
+//! snapshot, taken after each label, shares the tracked set behind an
+//! `Arc`, so taking one and resuming from one are reference-count bumps; a
+//! label that changes the set builds a new one, and a τ closure or the state
+//! bound copies the set only while a snapshot still shares it. A snapshot
+//! also holds the label with its line number, which is what the next trace
+//! is matched against, and how many `CheckedStep`s and `Deviation`s the
+//! trace had recorded by then, so the prefix's verdicts are reused without
+//! rerunning.
+
+use std::sync::Arc;
 
 use sibylfs_core::commands::OsLabel;
 use sibylfs_core::coverage::{self, CoverageKey, CoverageMap};
@@ -175,8 +181,8 @@ pub struct CheckedTrace {
 }
 
 /// The initial state alone.
-fn initial_set(cfg: &SpecConfig) -> TrackedSet {
-    TrackedSet::from(StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID)))
+fn initial_set(cfg: &SpecConfig) -> Arc<TrackedSet> {
+    Arc::new(TrackedSet::from(StateSet::singleton(OsState::initial_with_process(cfg, INITIAL_PID))))
 }
 
 /// One label of the last trace a [`Checker`] checked, and the tracked set
@@ -185,7 +191,7 @@ fn initial_set(cfg: &SpecConfig) -> TrackedSet {
 struct Snapshot {
     lineno: usize,
     label: OsLabel,
-    after: TrackedSet,
+    after: Arc<TrackedSet>,
     /// How many `CheckedStep`s and `Deviation`s the trace had by then.
     steps: usize,
     deviations: usize,
@@ -243,7 +249,7 @@ impl Checker {
             .count();
         self.snapshots.truncate(resumed);
         let (mut tracked, steps_kept, deviations_kept) = match self.snapshots.last() {
-            Some(snap) => (snap.after.clone(), snap.steps, snap.deviations),
+            Some(snap) => (Arc::clone(&snap.after), snap.steps, snap.deviations),
             None => (initial_set(cfg), 0, 0),
         };
         self.steps.truncate(steps_kept);
@@ -256,7 +262,7 @@ impl Checker {
 
         for (index, step) in trace.steps.iter().enumerate().skip(resumed) {
             let label = &step.label;
-            let (next, verdict) = apply_label(cfg, std::mem::take(&mut tracked), label);
+            let (next, verdict) = apply_label(cfg, tracked, label);
             match &verdict {
                 StepVerdict::Ok => {}
                 // Only the bound-handling block below constructs this variant.
@@ -278,7 +284,9 @@ impl Checker {
                 }
             }
             tracked = next;
-            dedup_hits += tracked.take_dedup_hits();
+            // A set still shared with a snapshot had its hits taken at the
+            // step that built it.
+            dedup_hits += Arc::get_mut(&mut tracked).map_or(0, TrackedSet::take_dedup_hits);
             steps.push(CheckedStep {
                 lineno: step.lineno,
                 label: StepLabel::Observed(label.clone()),
@@ -291,7 +299,7 @@ impl Checker {
                 // trace is never reported clean.
                 let size = tracked.len();
                 obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
-                tracked.truncate(opts.max_states);
+                Arc::make_mut(&mut tracked).truncate(opts.max_states);
                 deviations.push(Deviation {
                     lineno: step.lineno,
                     function: "<checker>".to_string(),
@@ -319,7 +327,7 @@ impl Checker {
                 self.snapshots.push(Snapshot {
                     lineno: step.lineno,
                     label: label.clone(),
-                    after: tracked.clone(),
+                    after: Arc::clone(&tracked),
                     steps: steps.len(),
                     deviations: deviations.len(),
                 });
@@ -395,9 +403,9 @@ pub fn check_trace_with_coverage(
 /// input set unchanged).
 fn apply_label(
     cfg: &SpecConfig,
-    mut tracked: TrackedSet,
+    mut tracked: Arc<TrackedSet>,
     label: &OsLabel,
-) -> (TrackedSet, StepVerdict) {
+) -> (Arc<TrackedSet>, StepVerdict) {
     match label {
         OsLabel::Call(..) | OsLabel::Create(..) | OsLabel::Destroy(..) => {
             let next = tracked.after(cfg, label);
@@ -411,20 +419,28 @@ fn apply_label(
                 };
                 (tracked, verdict)
             } else {
-                (next, StepVerdict::Ok)
+                (Arc::new(next), StepVerdict::Ok)
             }
         }
         OsLabel::Tau => {
-            tracked.close(cfg);
+            Arc::make_mut(&mut tracked).close(cfg);
             (tracked, StepVerdict::Ok)
         }
         OsLabel::Return(pid, observed) => {
-            // Close under internal steps so calls from other processes may be
-            // processed in any order before this return is matched.
+            // A call with nothing else in flight is matched at its return.
+            if let Some(next) =
+                tracked.match_lone_call(cfg, *pid, observed).filter(|next| !next.is_empty())
+            {
+                return (Arc::new(next), StepVerdict::Ok);
+            }
+            // Otherwise close under internal steps so calls from other
+            // processes may be processed in any order before this return is
+            // matched; a deviation's diagnostics read the closed set.
+            let tracked = Arc::make_mut(&mut tracked);
             tracked.close(cfg);
             let next = tracked.after(cfg, label);
             if !next.is_empty() {
-                return (next, StepVerdict::Ok);
+                return (Arc::new(next), StepVerdict::Ok);
             }
             // Non-conformant: collect the allowed returns for diagnostics and
             // continue from the model's own completions (Fig. 4).
@@ -460,7 +476,7 @@ fn apply_label(
             }
             let verdict =
                 StepVerdict::Deviation { observed: observed.to_string(), allowed, continued_with };
-            (TrackedSet::from(recovered), verdict)
+            (Arc::new(TrackedSet::from(recovered)), verdict)
         }
     }
 }
@@ -589,8 +605,9 @@ mod tests {
 
     #[test]
     fn a_return_derives_each_successor_once() {
-        // τ processes the call once, in the closure before the return; the
-        // return then matches the processed states and derives nothing twice.
+        // The call is the only one in flight, so the return processes it
+        // once and matches each outcome as it is emitted, deriving nothing
+        // twice.
         let cfg = cfg();
         let call = OsLabel::Call(INITIAL_PID, OsCommand::Mkdir("/d".into(), FileMode::new(0o777)));
         let (tracked, verdict) = apply_label(&cfg, initial_set(&cfg), &call);
@@ -599,7 +616,7 @@ mod tests {
         let (mut next, verdict) = apply_label(&cfg, tracked, &ret);
         assert_eq!(verdict, StepVerdict::Ok);
         assert_eq!(next.len(), 1);
-        assert_eq!(next.take_dedup_hits(), 0);
+        assert_eq!(Arc::get_mut(&mut next).unwrap().take_dedup_hits(), 0);
     }
 
     #[test]
@@ -680,6 +697,23 @@ mod tests {
         let deviation = &checked.deviations[0];
         assert_eq!((deviation.lineno, deviation.function.as_str()), (4, "<unknown>"));
         assert!(cov.branch_points().contains("os/return_without_call_rejected"));
+    }
+
+    #[test]
+    fn a_stray_return_names_no_call_and_records_no_transition() {
+        let text = "@type trace\n# Test os___stray_return\n1: mkdir \"/a\" 0o777\nRV_none\n\
+                    [p1] EEXIST\n";
+        let t = sibylfs_script::parse_trace(text).unwrap();
+        let (checked, cov) = check_trace_with_coverage(&cfg(), &t, CheckOptions::default());
+        assert!(!checked.accepted);
+        assert_eq!(checked.deviations.len(), 1);
+        assert_eq!(checked.deviations[0].function, "<unknown>");
+        let mkdir = |outcome: &str| CoverageKey::Transition {
+            syscall: "mkdir".into(),
+            outcome: outcome.into(),
+        };
+        assert!(cov.contains(&mkdir("ok/none")));
+        assert!(!cov.contains(&mkdir("EEXIST")), "no call returned EEXIST");
     }
 
     #[test]

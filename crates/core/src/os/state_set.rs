@@ -9,6 +9,11 @@
 //! fingerprints collide are compared structurally, so the common case is one
 //! hash computation and one table probe instead of the O(n²) full structural
 //! comparisons a `Vec::contains`-based set performs.
+//!
+//! The index is built lazily, at the second insert, which hashes both
+//! states then. A set that never holds more than one state, as on every
+//! step of a sequential trace, hashes nothing; its `contains` compares
+//! structurally.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -34,6 +39,8 @@ type FingerprintIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<FxHasher64>>;
 #[derive(Debug, Default, Clone)]
 pub struct StateSet {
     states: Vec<OsState>,
+    /// Empty until the second insert, so empty only while `states` holds at
+    /// most one state; from then on it indexes every state.
     index: FingerprintIndex,
     // Inserts that found an equal state already present. A plain (non-atomic)
     // local tally: the insert path is too hot for shared atomics, so the
@@ -64,7 +71,22 @@ impl StateSet {
     /// it was newly inserted (`false` when an equal state was already present
     /// — the returned index is then the existing state's). Used by the POR
     /// layer, which keeps per-state sleep sets parallel to the state vector.
+    ///
+    /// The first insert into an empty set hashes nothing: the index is
+    /// built at the second insert, which fingerprints the state already
+    /// present and the new one.
     pub fn insert_full(&mut self, st: OsState) -> (usize, bool) {
+        if self.index.is_empty() {
+            match self.states.first() {
+                None => {
+                    self.states.push(st);
+                    return (0, true);
+                }
+                Some(first) => {
+                    self.index.insert(first.fingerprint(), vec![0]);
+                }
+            }
+        }
         let fp = st.fingerprint();
         let slot = self.index.entry(fp).or_default();
         if let Some(&i) = slot.iter().find(|&&i| self.states[i as usize] == st) {
@@ -85,6 +107,10 @@ impl StateSet {
 
     /// Whether an equal state is already present.
     pub fn contains(&self, st: &OsState) -> bool {
+        if self.index.is_empty() {
+            // At most one state, not yet indexed.
+            return self.states.iter().any(|s| s == st);
+        }
         match self.index.get(&st.fingerprint()) {
             Some(slot) => slot.iter().any(|&i| &self.states[i as usize] == st),
             None => false,
@@ -211,6 +237,17 @@ mod tests {
         assert!(!set.insert(initial()));
         assert_eq!(set.len(), 1);
         assert!(set.contains(&initial()));
+    }
+
+    #[test]
+    fn the_index_is_built_at_the_second_insert() {
+        let mut set = StateSet::singleton(initial());
+        assert!(set.states()[0].fingerprint.get().is_none(), "one state was hashed");
+        assert!(set.contains(&initial()));
+        assert!(!set.contains(&with_umask(0o077)));
+        assert!(set.insert(with_umask(0o077)));
+        assert!(set.states().iter().all(|st| st.fingerprint.get().is_some()));
+        assert!(set.contains(&initial()) && set.contains(&with_umask(0o077)));
     }
 
     #[test]

@@ -148,11 +148,14 @@ pub fn expand_calls(cfg: &SpecConfig, st: &OsState) -> Vec<OsState> {
 /// The states the checker tracks between two labels, each with its
 /// [`SleepSet`]; the set keeps the two in sync. This is where footprint-based
 /// partial-order reduction (POR, see `crates/core/DESIGN_POR.md`) lives, and
-/// its four operations are the only ways the tracked set changes:
+/// its five operations are the only ways the tracked set changes:
 ///
 /// - [`close`](TrackedSet::close) closes it under τ steps, skipping the
 ///   dispatches the sleep sets show a sibling already covered;
 /// - [`after`](TrackedSet::after) applies one observed label;
+/// - [`match_lone_call`](TrackedSet::match_lone_call) applies a return whose
+///   call is the only one in flight, as `close` then `after` would, without
+///   building the closure;
 /// - [`truncate`](TrackedSet::truncate) enforces a size bound;
 /// - `From<StateSet>` starts from recovered or fresh states, nothing asleep.
 ///
@@ -377,6 +380,44 @@ impl TrackedSet {
         out
     }
 
+    /// The set after `pid` returns `observed`, when `pid`'s call is the only
+    /// one in flight: every tracked state has `pid` in its call, every other
+    /// process is ready, and nothing sleeps. A call with nothing else in
+    /// flight is its own persistent set, so no interleaving needs exploring:
+    /// each state's call is dispatched once and every outcome is matched
+    /// against `observed` as it is emitted, without building the closure or
+    /// installing a pending return. The result holds the states
+    /// [`close`](TrackedSet::close) then [`after`](TrackedSet::after) give,
+    /// in the same order, with nothing asleep; it is empty when the return
+    /// matches nothing.
+    ///
+    /// `None` when the call is not alone, and the caller closes the set.
+    pub fn match_lone_call(
+        &self,
+        cfg: &SpecConfig,
+        pid: Pid,
+        observed: &ErrorOrValue,
+    ) -> Option<TrackedSet> {
+        let lone = self.sleeps.iter().all(SleepSet::is_empty)
+            && self.states.iter().all(|st| {
+                matches!(st.proc(pid).map(|p| &p.run_state), Some(ProcRunState::InCall(_)))
+                    && st
+                        .procs
+                        .iter()
+                        .all(|(q, p)| *q == pid || matches!(p.run_state, ProcRunState::Ready))
+            });
+        if !lone {
+            return None;
+        }
+        let mut out = StateSet::new();
+        for st in &self.states {
+            process_and_return_sink(cfg, st, pid, observed, &mut |next| {
+                out.insert(next);
+            });
+        }
+        Some(TrackedSet::from(out))
+    }
+
     /// Keep only the first `n` states and wake every sleeper: the dropped
     /// states may be the siblings that covered a survivor's skipped
     /// interleavings. A no-op when the set is already small enough.
@@ -432,6 +473,43 @@ fn process_call_sink(cfg: &SpecConfig, st: &OsState, pid: Pid, sink: &mut impl F
     }
 }
 
+/// [`process_call_sink`] with each emitted state matched against `observed`
+/// at once: `sink` gets the states [`match_pending`] gives for those that
+/// match, in emission order. A success branch is updated in place, and the
+/// error and special branches, which leave the state as it was, clone it
+/// only when they match.
+fn process_and_return_sink(
+    cfg: &SpecConfig,
+    st: &OsState,
+    pid: Pid,
+    observed: &ErrorOrValue,
+    sink: &mut impl FnMut(OsState),
+) {
+    let Some(proc) = st.procs.get(&pid) else { return };
+    let ProcRunState::InCall(cmd) = &proc.run_state else { return };
+    let outcome = fs_ops::dispatch(cfg, st, pid, cmd);
+    let ready = || {
+        let mut next = st.clone();
+        if let Some(p) = next.proc_mut(pid) {
+            p.run_state = ProcRunState::Ready;
+        }
+        next
+    };
+    if matches!(observed, ErrorOrValue::Error(e) if outcome.errors.contains(e)) {
+        sink(ready());
+    }
+    if !outcome.must_fail {
+        for (mut next, pending) in outcome.successes {
+            if resolve_pending(&mut next, pid, &pending, observed) {
+                sink(next);
+            }
+        }
+    }
+    if outcome.special.is_some() {
+        sink(ready());
+    }
+}
+
 /// The distinct states [`process_call_sink`] emits, in order.
 pub fn process_call(cfg: &SpecConfig, st: &OsState, pid: Pid) -> Vec<OsState> {
     let mut out = StateSet::new();
@@ -450,6 +528,19 @@ pub fn match_pending(
     observed: &ErrorOrValue,
 ) -> Option<OsState> {
     let mut new_st = st.clone();
+    resolve_pending(&mut new_st, pid, pending, observed).then_some(new_st)
+}
+
+/// [`match_pending`] in place: whether `observed` matches `pending`, with
+/// the match's state update applied to `new_st` and the process marked
+/// ready when it does. On a mismatch `new_st` may be partly updated, and the
+/// caller drops it.
+fn resolve_pending(
+    new_st: &mut OsState,
+    pid: Pid,
+    pending: &Pending,
+    observed: &ErrorOrValue,
+) -> bool {
     let matched = match (pending, observed) {
         (Pending::Errors(allowed), ErrorOrValue::Error(e)) => allowed.contains(e),
         (Pending::Errors(_), ErrorOrValue::Value(_)) => false,
@@ -471,7 +562,7 @@ pub fn match_pending(
             if fd.0 < 0 {
                 false
             } else {
-                let proc = new_st.proc_mut(pid)?;
+                let Some(proc) = new_st.proc_mut(pid) else { return false };
                 if proc.fds.contains_key(fd) {
                     false
                 } else {
@@ -485,7 +576,7 @@ pub fn match_pending(
             if dh.0 < 0 {
                 false
             } else {
-                let proc = new_st.proc_mut(pid)?;
+                let Some(proc) = new_st.proc_mut(pid) else { return false };
                 if proc.dir_handles.contains_key(dh) {
                     false
                 } else {
@@ -526,14 +617,15 @@ pub fn match_pending(
             if !valid {
                 false
             } else {
-                apply_write(&mut new_st, pid, *fd, data, *at, count as usize);
+                apply_write(new_st, pid, *fd, data, *at, count as usize);
                 true
             }
         }
         (Pending::WriteData { .. }, _) => false,
         (Pending::ReaddirEntry { dh }, ErrorOrValue::Value(RetValue::ReaddirEntry(entry))) => {
-            let proc = new_st.proc_mut(pid)?;
-            let handle = proc.dir_handles.get_mut(dh)?;
+            let Some(handle) = new_st.proc_mut(pid).and_then(|p| p.dir_handles.get_mut(dh)) else {
+                return false;
+            };
             match entry {
                 // The observed name arrives as text; probing (not interning)
                 // keeps foreign observation strings out of the table — a name
@@ -552,13 +644,12 @@ pub fn match_pending(
         // Undefined/unspecified behaviour: any observation is accepted.
         (Pending::Special(_), _) => true,
     };
-    if !matched {
-        return None;
+    if matched {
+        if let Some(p) = new_st.proc_mut(pid) {
+            p.run_state = ProcRunState::Ready;
+        }
     }
-    if let Some(p) = new_st.proc_mut(pid) {
-        p.run_state = ProcRunState::Ready;
-    }
-    Some(new_st)
+    matched
 }
 
 /// Apply the observed prefix of a pending write to the file behind `fd`.

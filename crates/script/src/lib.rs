@@ -159,13 +159,22 @@ impl Trace {
 
     /// The call that step `index` belongs to: the latest call by its process
     /// at or before it, so a call belongs to itself and a return to the call
-    /// it answers. τ and a process with no call yet have none.
+    /// it answers. A return after that call was already answered belongs to
+    /// none, and neither do τ and a process with no call yet.
     pub fn call_of(&self, index: usize) -> Option<&OsCommand> {
-        let pid = self.steps[index].label.pid()?;
-        self.steps[..=index].iter().rev().find_map(|s| match &s.label {
-            OsLabel::Call(p, cmd) if *p == pid => Some(cmd),
+        let label = &self.steps[index].label;
+        let pid = label.pid()?;
+        let returning = matches!(label, OsLabel::Return(..));
+        let before = if returning { &self.steps[..index] } else { &self.steps[..=index] };
+        let latest = before.iter().rev().map(|s| &s.label).find(|l| match l {
+            OsLabel::Call(p, _) => *p == pid,
+            OsLabel::Return(p, _) => *p == pid && returning,
+            _ => false,
+        })?;
+        match latest {
+            OsLabel::Call(_, cmd) => Some(cmd),
             _ => None,
-        })
+        }
     }
 }
 
@@ -202,7 +211,23 @@ mod tests {
         assert_eq!(t.call_of(2), Some(&stat), "a call belongs to itself");
         assert_eq!(t.call_of(3), Some(&mkdir));
         assert_eq!(t.call_of(4), Some(&stat));
-        assert_eq!(t.call_of(5), Some(&stat), "a second return still names the latest call");
+    }
+
+    #[test]
+    fn a_return_after_its_call_was_answered_names_no_call() {
+        let mkdir = OsCommand::Mkdir("/a".into(), FileMode::new(0o777));
+        let none = ErrorOrValue::Value(RetValue::None);
+        let mut t = Trace::new("t", "t");
+        t.push_label(OsLabel::Create(Pid(2), Uid(0), Gid(0)));
+        t.push_call_return(INITIAL_PID, mkdir.clone(), none.clone());
+        t.push_label(OsLabel::Call(Pid(2), OsCommand::Stat("/a".into())));
+        t.push_label(OsLabel::Return(INITIAL_PID, none.clone()));
+        t.push_label(OsLabel::Return(Pid(2), none.clone()));
+        t.push_label(OsLabel::Return(Pid(2), none));
+        assert_eq!(t.call_of(2), Some(&mkdir));
+        assert_eq!(t.call_of(4), None, "p1's mkdir was answered at step 2");
+        assert_eq!(t.call_of(5), Some(&OsCommand::Stat("/a".into())));
+        assert_eq!(t.call_of(6), None, "p2's stat was answered at step 5");
     }
 
     #[test]
